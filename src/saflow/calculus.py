@@ -34,6 +34,8 @@ DEFAULT_BETA = 0.5
 
 def check_beta(beta):
     """Validate the smoothing parameter; scalars and arrays both accepted."""
+    if type(beta) is float and 0.0 < beta <= 0.75:
+        return beta  # the common case, on every psi/psi_u call of a solve
     arr = np.asarray(beta)
     if not np.all((arr > 0.0) & (arr <= 1.0)):
         raise ValueError(f"beta must lie in (0, 1], got {beta}")

@@ -91,6 +91,79 @@ def region_radius(sigma: float) -> float:
     return expected_abs_uv(sigma)
 
 
+MC_EXPECTATION_STREAM = 4  # draw stream of mc_indicator_expectation
+MC_RATE_STREAM = 5         # draw stream of mc_indicator_rate_fd
+
+
+def _mc_estimates(stats, samples: int, seed: int, stream: int) -> list[MCEstimate]:
+    """Score every statistic in `stats` on one shared pass of draws.
+
+    Each statistic is a tuple (g, sigma, lam, h).  With h None it estimates
+    E[g(U, V) 1{|U| <= lam |V|}]; with a half-width h it estimates the
+    central difference over lam of that expectation,
+    E[g(U, V) (1{|U| <= (lam+h)|V|} - 1{|U| <= (lam-h)|V|})] / (2h).  The
+    pairs (V, W) come from rng_for(seed, stream) in fixed-size batches, and
+    U = sigma V + tau W.  Every statistic sees the same draws and sums its
+    values batch by batch, so its estimate is bitwise equal to scoring it
+    alone; statistics that share sigma share U, and those that also share g
+    share its values.  Arrays are dropped as soon as no later step reads
+    them, so peak memory stays near that of a one-statistic pass.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    groups: dict[float, dict] = {}
+    for i, (g, sigma, lam, h) in enumerate(stats):
+        if h is not None and not 0 < h < lam:
+            raise ValueError("need 0 < h < lam")
+        groups.setdefault(sigma, {}).setdefault(g, []).append(i)
+    totals = [0.0] * len(stats)
+    totals_sq = [0.0] * len(stats)
+    rng = rng_for(seed, stream)
+    done = 0
+    while done < samples:
+        k = min(_MC_BATCH, samples - done)
+        v = rng.standard_normal(k)
+        w = rng.standard_normal(k)
+        for j, (sigma, by_g) in enumerate(groups.items()):
+            tau = math.sqrt(max(1.0 - sigma * sigma, 0.0))
+            u = sigma * v + tau * w
+            if j == len(groups) - 1:
+                del w  # the last sigma frees w before any g runs
+            # every indicator mask of this sigma, built before any g runs
+            au = np.abs(u)
+            av = np.abs(v)
+            masks = {}
+            for lam, h in {stats[i][2:] for idx in by_g.values() for i in idx}:
+                if h is None:
+                    masks[lam, h] = au <= lam * av
+                else:
+                    masks[lam, h] = (au <= (lam + h) * av, au <= (lam - h) * av)
+            del au, av
+            for g, idx in by_g.items():
+                gv = np.asarray(g(u, v), dtype=float)
+                for i in idx:
+                    _, _, lam, h = stats[i]
+                    if h is None:
+                        vals = gv * masks[lam, h]
+                    else:
+                        hi, lo = masks[lam, h]
+                        vals = np.subtract(hi, lo, dtype=float)
+                        np.multiply(gv, vals, out=vals)
+                        np.divide(vals, 2.0 * h, out=vals)
+                    totals[i] += float(vals.sum())
+                    np.multiply(vals, vals, out=vals)
+                    totals_sq[i] += float(vals.sum())
+                del gv, vals  # before the next g allocates
+        done += k
+    out = []
+    for total, total_sq in zip(totals, totals_sq):
+        mean = total / samples
+        var = max(total_sq / samples - mean * mean, 0.0)
+        out.append(MCEstimate(mean=mean, std_error=math.sqrt(var / samples),
+                              samples=samples))
+    return out
+
+
 def mc_indicator_expectation(
     g, sigma: float, lam: float, samples: int = MC_DEFAULT_SAMPLES, seed: int = 0
 ) -> MCEstimate:
@@ -99,24 +172,7 @@ def mc_indicator_expectation(
     g must accept numpy arrays.  Sampling runs in fixed-size batches so the
     result is deterministic for a given (samples, seed).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    tau = math.sqrt(max(1.0 - sigma * sigma, 0.0))
-    rng = rng_for(seed, 4)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        k = min(_MC_BATCH, samples - done)
-        v = rng.standard_normal(k)
-        u = sigma * v + tau * rng.standard_normal(k)
-        vals = np.asarray(g(u, v), dtype=float) * (np.abs(u) <= lam * np.abs(v))
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += k
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return MCEstimate(mean=mean, std_error=math.sqrt(var / samples), samples=samples)
+    return _mc_estimates([(g, sigma, lam, None)], samples, seed, MC_EXPECTATION_STREAM)[0]
 
 
 def mc_indicator_rate_fd(
@@ -130,27 +186,7 @@ def mc_indicator_rate_fd(
     contribute and the difference estimator has far smaller variance than
     two independent estimates.
     """
-    if not 0 < h < lam:
-        raise ValueError("need 0 < h < lam")
-    tau = math.sqrt(max(1.0 - sigma * sigma, 0.0))
-    rng = rng_for(seed, 5)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        k = min(_MC_BATCH, samples - done)
-        v = rng.standard_normal(k)
-        u = sigma * v + tau * rng.standard_normal(k)
-        av = np.abs(v)
-        au = np.abs(u)
-        diff = (au <= (lam + h) * av).astype(float) - (au <= (lam - h) * av)
-        vals = np.asarray(g(u, v), dtype=float) * diff / (2.0 * h)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += k
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return MCEstimate(mean=mean, std_error=math.sqrt(var / samples), samples=samples)
+    return _mc_estimates([(g, sigma, lam, h)], samples, seed, MC_RATE_STREAM)[0]
 
 
 def indicator_expectation_rate(g, sigma: float, lam: float) -> float:

@@ -147,17 +147,26 @@ def dump_trial(path, x: np.ndarray, A: np.ndarray, y) -> None:
 
 
 def load_trial(path):
-    """Read back a dump_trial file; returns (x, A, Observations)."""
+    """Read back a dump_trial file; returns (x, A, Observations).
+
+    Raises ValueError unless the file holds exactly the header and the
+    payload its header describes.
+    """
     with open(path, "rb") as fh:
-        magic, m, n, fcode = struct.unpack("<4sIIB3x", fh.read(16))
-        if magic != _DUMP_MAGIC:
-            raise ValueError(f"bad magic {magic!r} in {path}")
-        dt = np.dtype("<c16") if fcode else np.dtype("<f8")
-        x = np.frombuffer(fh.read(n * dt.itemsize), dtype=dt).astype(
-            np.complex128 if fcode else np.float64
-        )
-        A = np.frombuffer(fh.read(m * n * dt.itemsize), dtype=dt).reshape(m, n).astype(
-            np.complex128 if fcode else np.float64
-        )
-        y = np.frombuffer(fh.read(m * 8), dtype="<f8").astype(np.float64)
+        raw = fh.read()
+    if len(raw) < 16:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the 16-byte header")
+    magic, m, n, fcode = struct.unpack_from("<4sIIB3x", raw)
+    if magic != _DUMP_MAGIC:
+        raise ValueError(f"bad magic {magic!r} in {path}")
+    dt = np.dtype("<c16") if fcode else np.dtype("<f8")
+    expected = 16 + (n + m * n) * dt.itemsize + m * 8
+    if len(raw) != expected:
+        raise ValueError(f"{path}: header gives m={m} n={n}, so {expected} bytes "
+                         f"are expected, but the file has {len(raw)}")
+    out = np.complex128 if fcode else np.float64
+    x = np.frombuffer(raw, dtype=dt, count=n, offset=16).astype(out)
+    A = np.frombuffer(raw, dtype=dt, count=m * n, offset=16 + n * dt.itemsize)
+    A = A.reshape(m, n).astype(out)
+    y = np.frombuffer(raw, dtype="<f8", count=m, offset=expected - m * 8).astype(np.float64)
     return x, A, Observations(y=y, noise_level=0.0)

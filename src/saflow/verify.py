@@ -171,8 +171,18 @@ def suite_calculus(quick: bool = False, seed: int = 0) -> list[CheckResult]:
 
 
 def suite_expectations(quick: bool = False, seed: int = 0) -> list[CheckResult]:
-    rows: list[CheckResult] = []
     samples = 1_000_000 if quick else ls.MC_DEFAULT_SAMPLES
+    # a row is a CheckResult or, for Monte Carlo checks, a template completed
+    # once every statistic of its stream is scored in one shared pass
+    rows: list = []
+    stats = {ls.MC_EXPECTATION_STREAM: [], ls.MC_RATE_STREAM: []}
+
+    def mc_row(check_id, inp, expected, stream, stat, passes):
+        stats[stream].append(stat)
+        rows.append((check_id, inp, expected, stream, len(stats[stream]) - 1, passes))
+
+    def within(target, slack):
+        return lambda est: abs(est.mean - target) <= 3.0 * est.std_error + slack
 
     # closed-form pair expectations against Monte Carlo (the indicator with
     # lam = inf reduces to the unrestricted expectation)
@@ -181,13 +191,9 @@ def suite_expectations(quick: bool = False, seed: int = 0) -> list[CheckResult]:
                                       ("sgnuv_vsq", ls.expected_sgnuv_vsq,
                                        g_sgnuv_vsq_stat)):
             target = closed_fn(sigma)
-            est = ls.mc_indicator_expectation(stat, sigma, lam=np.inf,
-                                              samples=samples, seed=seed)
-            err = abs(est.mean - target)
-            rows.append(CheckResult(
-                f"expected_{name}_mc", f"sigma={sigma}", repr(target),
-                f"{est.mean!r} (se={est.std_error:.2e})",
-                "3 std errors", err <= 3.0 * est.std_error + 1e-12))
+            mc_row(f"expected_{name}_mc", f"sigma={sigma}", repr(target),
+                   ls.MC_EXPECTATION_STREAM, (stat, sigma, np.inf, None),
+                   within(target, 1e-12))
 
     # rate closed form versus quadrature (power families, p+q = 2)
     for sigma, lam in ((0.25, 0.5), (0.5, 1.0)):
@@ -201,7 +207,6 @@ def suite_expectations(quick: bool = False, seed: int = 0) -> list[CheckResult]:
                 repr(closed), repr(quadv), "1e-8", abs(quadv - closed) <= 1e-8))
 
     # quadrature rate versus Monte Carlo finite differences
-    fd_samples = samples
     for sigma in (0.0, 0.5):
         for lam in (0.25, 0.5, 1.0):
             for name in ("abs_ts", "t_sq", "s_sq", "signed_t_sq", "signed_abs_ts"):
@@ -212,24 +217,16 @@ def suite_expectations(quick: bool = False, seed: int = 0) -> list[CheckResult]:
                         f"rate_signed_zero_{name}", f"sigma=0 lam={lam}",
                         "0.0", repr(quadv), "exact", quadv == 0.0))
                     continue
-                h = min(0.02, lam / 4)
-                est = ls.mc_indicator_rate_fd(g, sigma, lam, h=h,
-                                              samples=fd_samples, seed=seed)
-                err = abs(est.mean - quadv)
-                rows.append(CheckResult(
-                    f"rate_quad_vs_mc_fd_{name}", f"sigma={sigma} lam={lam}",
-                    repr(quadv), f"{est.mean!r} (se={est.std_error:.2e})",
-                    "3 std errors", err <= 3.0 * est.std_error + 1e-6))
+                mc_row(f"rate_quad_vs_mc_fd_{name}", f"sigma={sigma} lam={lam}",
+                       repr(quadv), ls.MC_RATE_STREAM, (g, sigma, lam, min(0.02, lam / 4)),
+                       within(quadv, 1e-6))
 
     # signed expectations stay nonnegative (their rate integrand is nonnegative)
     for sigma in (0.25, 0.5, 0.75):
         for lam in (0.25, 1.0):
-            est = ls.mc_indicator_expectation(g_signed_abs_ts, sigma, lam,
-                                              samples=samples, seed=seed)
-            rows.append(CheckResult(
-                "signed_expectation_nonnegative", f"sigma={sigma} lam={lam}",
-                ">= 0", f"{est.mean!r} (se={est.std_error:.2e})",
-                "3 std errors", est.mean >= -3.0 * est.std_error))
+            mc_row("signed_expectation_nonnegative", f"sigma={sigma} lam={lam}",
+                   ">= 0", ls.MC_EXPECTATION_STREAM, (g_signed_abs_ts, sigma, lam, None),
+                   lambda est: est.mean >= -3.0 * est.std_error)
 
     # antiderivative level: MC of the indicator expectation itself matches the
     # rate closed form integrated from 0 (the expectation vanishes at lam = 0)
@@ -239,19 +236,35 @@ def suite_expectations(quick: bool = False, seed: int = 0) -> list[CheckResult]:
             rate = lambda t, m=meta: 0.0 if t <= 0 else ls.power_rate_closed_form(
                 m["p"], m["q"], sigma, t, signed=m["signed"])
             integrated, _ = quad(rate, 0.0, lam, **ls.QUAD_OPTS)
-            est = ls.mc_indicator_expectation(g, sigma, lam, samples=samples, seed=seed)
-            err = abs(est.mean - integrated)
-            rows.append(CheckResult(
-                f"integrated_rate_vs_mc_{name}", f"sigma={sigma} lam={lam}",
-                repr(integrated), f"{est.mean!r} (se={est.std_error:.2e})",
-                "3 std errors", err <= 3.0 * est.std_error + 1e-9))
-    return rows
+            mc_row(f"integrated_rate_vs_mc_{name}", f"sigma={sigma} lam={lam}",
+                   repr(integrated), ls.MC_EXPECTATION_STREAM, (g, sigma, lam, None),
+                   within(integrated, 1e-9))
+
+    ests = {stream: ls._mc_estimates(st, samples, seed, stream)
+            for stream, st in stats.items()}
+    out = []
+    for row in rows:
+        if not isinstance(row, CheckResult):
+            check_id, inp, expected, stream, i, passes = row
+            est = ests[stream][i]
+            row = CheckResult(check_id, inp, expected,
+                              f"{est.mean!r} (se={est.std_error:.2e})",
+                              "3 std errors", passes(est))
+        out.append(row)
+    return out
 
 
 def g_sgnuv_vsq_stat(t, s):
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     return np.sign(t * s) * s * s
+
+
+def g_saddle_weight(t, s):
+    """phi(t/s, 1/2) s^2, the curvature weight along x at sigma = 0 (s = 0 gives 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(s != 0, t / np.where(s != 0, s, 1.0), np.inf)
+    return ls.phi(ratio, 0.5) * s * s
 
 
 # --- landscape suite --------------------------------------------------------
@@ -272,24 +285,12 @@ def suite_landscape(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     rows.append(CheckResult("saddle_curvature_at_half", "beta=0.5", "-0.1314",
                             repr(target), "1e-3", abs(target + 0.1314) <= 1e-3))
 
-    # independent Monte Carlo of the same curvature expectation
-    rng = rng_for(seed, 11)
-    total, total_sq, done = 0.0, 0.0, 0
-    while done < samples:
-        k = min(2_000_000, samples - done)
-        vv = rng.standard_normal(k)
-        uu = rng.standard_normal(k)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(vv != 0, uu / np.where(vv != 0, vv, 1.0), np.inf)
-        vals = ls.phi(t, 0.5) * vv * vv
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += k
-    mc_mean = total / samples
-    mc_se = math.sqrt(max(total_sq / samples - mc_mean * mc_mean, 0.0) / samples)
+    # independent Monte Carlo of the same curvature expectation: sigma = 0
+    # makes U = W independent of V, and lam = inf drops the indicator
+    est = ls._mc_estimates([(g_saddle_weight, 0.0, np.inf, None)], samples, seed, 11)[0]
     rows.append(CheckResult("saddle_curvature_mc", f"{samples} samples",
-                            repr(target), f"{mc_mean!r} (se={mc_se:.2e})",
-                            "3 std errors", abs(mc_mean - target) <= 3 * mc_se))
+                            repr(target), f"{est.mean!r} (se={est.std_error:.2e})",
+                            "3 std errors", abs(est.mean - target) <= 3 * est.std_error))
 
     # monotonicity in lam and the z -> 0 limit
     lams = np.linspace(0.05, 20.0, 400)

@@ -7,6 +7,7 @@ verification suites via session fixtures.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from saflow.cli import main as cli_main
 from saflow.distances import dist, success
 from saflow.measurement import add_noise, gen_sensing, gen_signal, observe, trial_seed
 from saflow.metrics import ExperimentSpec, run_iteration_table, run_success_sweep
+from saflow.reporting import write_report_csv
 from saflow.solvers import GdConfig, InitStrategy, gd_saf
 from saflow.verify import run_suite
 
 TOL_REL_ERR = 1e-5
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _report(num, name, ok, detail):
@@ -39,8 +42,13 @@ def calculus_rows():
 
 
 @pytest.fixture(scope="session")
-def expectation_rows():
-    return _rows_by_id(run_suite("expectations", quick=False, seed=0))
+def expectation_report():
+    return run_suite("expectations", quick=False, seed=0)
+
+
+@pytest.fixture(scope="session")
+def expectation_rows(expectation_report):
+    return _rows_by_id(expectation_report)
 
 
 @pytest.fixture(scope="session")
@@ -123,6 +131,13 @@ def test_criterion_5_derivative_under_indicator(expectation_rows):
     detail = ("quadrature vs MC finite differences at all (sigma, lam); "
               "signed cases exactly 0 at sigma=0") if ok else f"failed: {bad}"
     assert _report(5, "derivative under indicator", ok, detail), detail
+
+
+def test_expectations_full_matches_golden(expectation_report, tmp_path):
+    # the 62 full-budget rows, byte for byte (tests/golden/README.md)
+    path = tmp_path / "expectations.csv"
+    write_report_csv(expectation_report, path)
+    assert path.read_bytes() == (GOLDEN / "expectations_full.csv").read_bytes()
 
 
 def test_criterion_6_integral_constants(appendix_rows):

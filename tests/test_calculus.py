@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from saflow.calculus import (
+    check_beta,
     dir_second_derivative,
     gamma,
     gradient,
@@ -37,6 +40,24 @@ def test_gamma_rejects_bad_beta():
         gamma(1.0, 0.0)
     with pytest.raises(ValueError):
         gamma(1.0, 1.5)
+
+
+def test_check_beta_errors_and_warning():
+    for bad in (0, -1, 1.5, float("nan"), 0.0, np.float64(1.5)):
+        with pytest.raises(ValueError):
+            check_beta(bad)
+    with pytest.warns(UserWarning, match="beta > 0.75"):
+        assert check_beta(0.8) == 0.8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ok in (0.5, 0.75, 1e-3, np.float64(0.5)):
+            assert check_beta(ok) is ok
+    betas_ok = np.array([0.25, 0.5])
+    assert check_beta(betas_ok) is betas_ok
+    with pytest.raises(ValueError):
+        check_beta(np.array([0.5, 0.0]))
+    with pytest.warns(UserWarning, match="beta > 0.75"):
+        check_beta(np.array([0.5, 0.9]))
 
 
 def test_psi_values():

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from saflow.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(args):
@@ -137,3 +140,10 @@ def test_verify_unknown_suite(tmp_path):
 
 def test_verify_calculus_quick(tmp_path):
     assert run_cli(["verify", "calculus", "--quick", "--out", str(tmp_path)]) == 0
+
+
+def test_verify_all_quick_matches_golden(tmp_path):
+    # pins every row of the quick run byte for byte (tests/golden/README.md)
+    assert run_cli(["verify", "all", "--quick", "--seed", "0", "--out", str(tmp_path)]) == 0
+    got = (tmp_path / "verify_all.csv").read_bytes()
+    assert got == (GOLDEN / "verify_all.csv").read_bytes()

@@ -63,6 +63,75 @@ def test_mc_indicator_expectation_examples():
         ls.mc_indicator_expectation(lambda t, s: t, 0.5, 1.0, samples=0)
 
 
+def _loop_estimate(g, sigma, lam, h, samples, seed, stream):
+    """One statistic scored alone, with the batched loop the engine replaced."""
+    tau = math.sqrt(max(1.0 - sigma * sigma, 0.0))
+    rng = rng_for(seed, stream)
+    total = total_sq = 0.0
+    done = 0
+    while done < samples:
+        k = min(2_000_000, samples - done)
+        v = rng.standard_normal(k)
+        u = sigma * v + tau * rng.standard_normal(k)
+        au, av = np.abs(u), np.abs(v)
+        if h is None:
+            vals = np.asarray(g(u, v), dtype=float) * (au <= lam * av)
+        else:
+            diff = (au <= (lam + h) * av).astype(float) - (au <= (lam - h) * av)
+            vals = np.asarray(g(u, v), dtype=float) * diff / (2.0 * h)
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        done += k
+    mean = total / samples
+    return mean, math.sqrt(max(total_sq / samples - mean * mean, 0.0) / samples)
+
+
+def test_mc_engine_one_pass_is_bitwise_one_at_a_time():
+    g_abs = lambda t, s: np.abs(t * s)
+    g_tsq = lambda t, s: t * t
+    g_signed = lambda t, s: np.sign(t * s) * t * t
+    stats = [
+        (g_abs, 0.0, np.inf, None),
+        (g_abs, 1.0, np.inf, None),
+        (g_tsq, 0.5, 0.25, None),      # one g at several lam
+        (g_tsq, 0.5, 1.0, None),
+        (g_tsq, 0.5, np.inf, None),
+        (g_signed, 0.5, 1.0, None),    # same sigma and lam, other g
+        (g_abs, 0.5, 0.5, 0.02),       # central differences
+        (g_tsq, 0.5, 0.5, 0.02),
+        (g_signed, 0.0, 0.25, 0.0625),
+        (g_tsq, 1.0, 0.5, 0.1),
+    ]
+    samples = 2_000_001  # leaves a 1-sample last batch
+    together = ls._mc_estimates(stats, samples, seed=3, stream=7)
+    for stat, est in zip(stats, together):
+        assert est.samples == samples
+        assert (est.mean, est.std_error) == _loop_estimate(*stat, samples, 3, 7)
+    # the public estimators are the engine's one-statistic case on their streams
+    g, sigma, lam, _ = stats[2]
+    alone = ls.mc_indicator_expectation(g, sigma, lam, samples=samples, seed=3)
+    assert (alone.mean, alone.std_error) == _loop_estimate(
+        g, sigma, lam, None, samples, 3, ls.MC_EXPECTATION_STREAM)
+    g, sigma, lam, h = stats[6]
+    alone = ls.mc_indicator_rate_fd(g, sigma, lam, h=h, samples=samples, seed=3)
+    assert (alone.mean, alone.std_error) == _loop_estimate(
+        g, sigma, lam, h, samples, 3, ls.MC_RATE_STREAM)
+
+
+def test_mc_estimators_reject_bad_budget_and_width():
+    g = lambda t, s: t * t
+    for samples in (0, -1):
+        with pytest.raises(ValueError):
+            ls.mc_indicator_expectation(g, 0.5, 1.0, samples=samples)
+        with pytest.raises(ValueError):
+            ls.mc_indicator_rate_fd(g, 0.5, 1.0, samples=samples)
+    for h in (0.0, -0.01, 0.5, 0.6):
+        with pytest.raises(ValueError):
+            ls.mc_indicator_rate_fd(g, 0.5, 0.5, h=h, samples=10)
+    with pytest.raises(ValueError):
+        ls._mc_estimates([(g, 0.5, 1.0, None), (g, 0.5, 0.5, 0.5)], 10, 0, 4)
+
+
 def test_rate_closed_forms():
     # quadratic families: rate = 2 lam^p/(pi tau) (mu_-^{-4} +- mu_+^{-4})
     for sigma, lam in ((0.25, 0.5), (0.5, 1.0), (0.0, 0.25)):

@@ -143,3 +143,18 @@ def test_dump_header_layout(tmp_path):
     assert len(raw) == 16 + 8 * (3 + 15 + 5)
     # first payload value is x[0] as little-endian float64
     assert np.frombuffer(raw[16:24], dtype="<f8")[0] == x[0]
+
+
+@pytest.mark.parametrize("cut", ["truncated", "trailing", "header_only", "short_header"])
+def test_load_trial_rejects_payload_length_mismatch(tmp_path, cut):
+    x = gen_signal(4, REAL, seed=0)
+    A = gen_sensing(10, 4, REAL, seed=0)
+    path = tmp_path / "trial.bin"
+    dump_trial(path, x, A, observe(A, x))
+    raw = path.read_bytes()
+    assert len(raw) == 16 + 8 * (4 + 40 + 10)
+    bad = {"truncated": raw[:-16], "trailing": raw + b"junk",
+           "header_only": raw[:16], "short_header": raw[:10]}[cut]
+    path.write_bytes(bad)
+    with pytest.raises(ValueError, match=f"{len(bad)}"):
+        load_trial(path)

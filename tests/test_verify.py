@@ -1,7 +1,13 @@
+import math
+
+import numpy as np
 import pytest
 
+import saflow.landscape as ls
+from saflow.measurement import rng_for
+
 from saflow.reporting import all_passed, write_report_csv
-from saflow.verify import run_suite
+from saflow.verify import g_saddle_weight, run_suite
 
 
 @pytest.mark.parametrize("name", ["calculus", "expectations", "landscape", "appendix"])
@@ -25,3 +31,27 @@ def test_report_csv_format(tmp_path):
     assert len(lines) == len(rows) + 1
     assert all(line.endswith(("true", "false")) for line in lines[1:])
     assert all_passed(rows)
+
+
+def test_saddle_mc_bitwise_equal_to_its_own_loop():
+    # the saddle check's statistic on the shared engine (sigma = 0, lam = inf)
+    # against the loop it replaced: U = 0 V + 1 W differs from W at most in
+    # the sign of a zero, which phi ignores
+    samples = 2_000_001
+    est = ls._mc_estimates([(g_saddle_weight, 0.0, np.inf, None)], samples, 0, 11)[0]
+    rng = rng_for(0, 11)
+    total = total_sq = 0.0
+    done = 0
+    while done < samples:
+        k = min(2_000_000, samples - done)
+        vv = rng.standard_normal(k)
+        uu = rng.standard_normal(k)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(vv != 0, uu / np.where(vv != 0, vv, 1.0), np.inf)
+        vals = ls.phi(t, 0.5) * vv * vv
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        done += k
+    mean = total / samples
+    se = math.sqrt(max(total_sq / samples - mean * mean, 0.0) / samples)
+    assert (est.mean, est.std_error) == (mean, se)
