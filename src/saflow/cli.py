@@ -151,6 +151,8 @@ def _threads(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    config = GdConfig(mu=args.mu, beta=args.beta, max_iter=args.max_iter,
+                      grad_tol=args.grad_tol, err_tol=args.err_tol)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     x = gen_signal(args.n, args.field, args.seed)
@@ -158,8 +160,6 @@ def cmd_solve(args) -> int:
     obs = observe(A, x)
     if args.noise > 0:
         obs = add_noise(obs, args.noise, args.seed)
-    config = GdConfig(mu=args.mu, beta=args.beta, max_iter=args.max_iter,
-                      grad_tol=args.grad_tol, err_tol=args.err_tol)
     base, init_kind = parse_algorithm(args.algorithm)
     if args.init:
         init_kind = args.init

@@ -4,6 +4,10 @@ Every driver is a deterministic function of its spec: trial seeds derive
 from the base seed via the splittable scheme in saflow.measurement, fresh
 ground truth and sensing matrices are drawn per trial, and results are
 aggregated by trial index, so outputs do not depend on scheduling.
+
+Drivers are trial-major: a trial draws its instance once, builds each init
+kind's start once, and solves that instance with every algorithm of the
+spec, so each solve sees the same A, y, start and seed as a solve of its own.
 """
 
 from __future__ import annotations
@@ -11,12 +15,15 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .distances import SUCCESS_THRESHOLD, dist, success
-from .measurement import REAL, add_noise, check_field, gen_sensing, gen_signal, observe, trial_seed
-from .solvers import DivergedError, GdConfig, InitStrategy, SolveTrace, solve
+from .measurement import (
+    REAL, add_noise, check_field, gen_sensing, gen_signal, magnitudes, observe, trial_seed,
+)
+from .solvers import DivergedError, GdConfig, InitStrategy, SolveTrace, make_init, solve
 
 ALGORITHMS = ("saf", "wf", "twf", "taf")
 
@@ -78,58 +85,94 @@ class IterationRow:
     mean_seconds: float
 
 
-def _run_trial(payload) -> dict:
-    """One seeded solve on a fresh instance; used directly and by the pool."""
-    (n, m, field_tag, algorithm, config, noise_level, power_iters, seed) = payload
-    x = gen_signal(n, field_tag, seed)
-    A = gen_sensing(m, n, field_tag, seed)
+class Trial(NamedTuple):
+    """One seeded instance and the algorithms that all solve it."""
+    n: int
+    m: int
+    field: str
+    algorithms: tuple
+    config: GdConfig
+    noise_level: float
+    power_iters: int
+    seed: int
+    thresholds: tuple = ()  # relative errors whose first-hit iterations are reported
+
+
+def _trials(spec: ExperimentSpec, m: int, seeds, **changes) -> list[Trial]:
+    """The trial payloads of one driver step, a trial per seed, from the spec."""
+    return [Trial(spec.n, m, spec.field, spec.algorithms, spec.config, spec.noise_level,
+                  spec.power_iters, seed)._replace(**changes) for seed in seeds]
+
+
+def _solve_trial(trial: Trial):
+    """Draw the trial's instance once and solve it with every algorithm.
+
+    Each init kind's start is built once, timed, and handed to every
+    algorithm that starts from it.  Yields (x, trace, diverged, seconds) per
+    algorithm, where seconds is the solve time plus the time of its start.
+    """
+    x = gen_signal(trial.n, trial.field, trial.seed)
+    A = gen_sensing(trial.m, trial.n, trial.field, trial.seed)
     obs = observe(A, x)
-    if noise_level > 0:
-        obs = add_noise(obs, noise_level, seed)
-    base, init_kind = parse_algorithm(algorithm)
-    init = InitStrategy(kind=init_kind, power_iters=power_iters)
-    t0 = time.perf_counter()
-    try:
-        trace = solve(base, A, obs, config, init, seed, truth=x)
-        diverged = False
-    except DivergedError as exc:
-        trace = exc.trace
-        diverged = True
-    seconds = time.perf_counter() - t0
-    final_err = dist(trace.final, x) / np.linalg.norm(x) if trace.final is not None else np.inf
-    return {
-        "success": (not diverged) and bool(success(trace.final, x, SUCCESS_THRESHOLD)),
-        "final_rel_err": float(final_err),
-        "iters_to": {thr: trace.iters_to(thr) for thr in (1e-5, 1e-10)},
-        "seconds": seconds,
-        "diverged": diverged,
-    }
+    if trial.noise_level > 0:
+        obs = add_noise(obs, trial.noise_level, trial.seed)
+    starts = {}
+    for algorithm in trial.algorithms:
+        base, init_kind = parse_algorithm(algorithm)
+        init = InitStrategy(kind=init_kind, power_iters=trial.power_iters)
+        if init_kind not in starts:
+            t0 = time.perf_counter()
+            z0 = make_init(A, magnitudes(obs), init, trial.seed)
+            z0.flags.writeable = False  # shared: a solver that wrote to it would raise
+            starts[init_kind] = (z0, time.perf_counter() - t0)
+        z0, init_seconds = starts[init_kind]
+        t0 = time.perf_counter()
+        try:
+            trace = solve(base, A, obs, trial.config, init, trial.seed, truth=x, z0=z0)
+            diverged = False
+        except DivergedError as exc:
+            trace = exc.trace
+            diverged = True
+        yield x, trace, diverged, init_seconds + time.perf_counter() - t0
 
 
-def _map_trials(payloads, threads: int):
+def _run_trial(trial: Trial) -> list[dict]:
+    """Summaries of one trial's solves, one per algorithm; used directly and by the pool."""
+    results = []
+    for x, trace, diverged, seconds in _solve_trial(trial):
+        final_err = dist(trace.final, x) / np.linalg.norm(x) if trace.final is not None else np.inf
+        results.append({
+            "success": (not diverged) and bool(success(trace.final, x, SUCCESS_THRESHOLD)),
+            "final_rel_err": float(final_err),
+            "iters_to": {thr: trace.iters_to(thr) for thr in trial.thresholds},
+            "seconds": seconds,
+            "diverged": diverged,
+        })
+    return results
+
+
+def _map_trials(trials: list[Trial], threads: int) -> list[list[dict]]:
+    """_run_trial over the trials, gathered in trial order."""
     if threads <= 1:
-        return [_run_trial(p) for p in payloads]
+        return [_run_trial(t) for t in trials]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_run_trial, payloads, chunksize=4))
+        return list(pool.map(_run_trial, trials, chunksize=4))
 
 
 def run_success_sweep(spec: ExperimentSpec, threads: int = 1) -> list[SuccessRow]:
     """Empirical success rate per (m/n, algorithm) over seeded fresh trials.
 
     Trial seeds are hash(base_seed, grid_index, trial_index), so every
-    algorithm sees the same instances at a given grid point.
+    algorithm sees the same instances at a given grid point; each instance
+    is drawn once and solved by all of them.
     """
     rows = []
     for gi, mn in enumerate(spec.m_over_n):
         m = int(round(mn * spec.n))
-        for algorithm in spec.algorithms:
-            payloads = [
-                (spec.n, m, spec.field, algorithm, spec.config, spec.noise_level,
-                 spec.power_iters, trial_seed(spec.base_seed, gi, ti))
-                for ti in range(spec.trials)
-            ]
-            results = _map_trials(payloads, threads)
-            rate = sum(r["success"] for r in results) / spec.trials
+        seeds = [trial_seed(spec.base_seed, gi, ti) for ti in range(spec.trials)]
+        results = _map_trials(_trials(spec, m, seeds), threads)
+        for ai, algorithm in enumerate(spec.algorithms):
+            rate = sum(r[ai]["success"] for r in results) / spec.trials
             rows.append(SuccessRow(float(mn), algorithm, rate, spec.trials))
     return rows
 
@@ -141,23 +184,12 @@ def run_convergence(spec: ExperimentSpec, noisy_level: float = 0.01) -> dict:
     setup is n=128, m=5n, mu=0.8).  Returns
     {"noiseless": {algorithm: SolveTrace}, "noisy": {...}}.
     """
-    out: dict = {"noiseless": {}, "noisy": {}}
-    mn = spec.m_over_n[0]
-    m = int(round(mn * spec.n))
-    seed = trial_seed(spec.base_seed, 0)
+    m = int(round(spec.m_over_n[0] * spec.n))
+    (trial,) = _trials(spec, m, [trial_seed(spec.base_seed, 0)])
+    out: dict = {}
     for label, level in (("noiseless", 0.0), ("noisy", noisy_level)):
-        x = gen_signal(spec.n, spec.field, seed)
-        A = gen_sensing(m, spec.n, spec.field, seed)
-        obs = observe(A, x)
-        if level > 0:
-            obs = add_noise(obs, level, seed)
-        for algorithm in spec.algorithms:
-            base, init_kind = parse_algorithm(algorithm)
-            init = InitStrategy(kind=init_kind, power_iters=spec.power_iters)
-            try:
-                out[label][algorithm] = solve(base, A, obs, spec.config, init, seed, truth=x)
-            except DivergedError as exc:
-                out[label][algorithm] = exc.trace
+        traces = _solve_trial(trial._replace(noise_level=level))
+        out[label] = {alg: trace for alg, (_, trace, _, _) in zip(spec.algorithms, traces)}
     return out
 
 
@@ -166,29 +198,26 @@ def run_iteration_table(
 ) -> list[IterationRow]:
     """Median iterations to each relative-error threshold, per algorithm.
 
-    All algorithms solve the same per-trial instances.  Wall time is
-    reported for context only; it is hardware-dependent.
+    All algorithms solve the same per-trial instances, each drawn once.
+    Wall time is reported for context only; it is hardware-dependent.
     """
-    mn = spec.m_over_n[0]
-    m = int(round(mn * spec.n))
+    thresholds = tuple(thresholds)
+    m = int(round(spec.m_over_n[0] * spec.n))
     stop = replace(spec.config, err_tol=min(thresholds))
+    seeds = [trial_seed(spec.base_seed, 0, ti) for ti in range(spec.trials)]
+    results = _map_trials(_trials(spec, m, seeds, config=stop, thresholds=thresholds), threads)
     rows = []
-    for algorithm in spec.algorithms:
-        payloads = [
-            (spec.n, m, spec.field, algorithm, stop, spec.noise_level,
-             spec.power_iters, trial_seed(spec.base_seed, 0, ti))
-            for ti in range(spec.trials)
-        ]
-        results = _map_trials(payloads, threads)
+    for ai, algorithm in enumerate(spec.algorithms):
         base, init_kind = parse_algorithm(algorithm)
+        mean_seconds = float(np.mean([r[ai]["seconds"] for r in results]))
         for thr in thresholds:
-            iters = [r["iters_to"][thr] for r in results]
+            iters = [r[ai]["iters_to"][thr] for r in results]
             rows.append(IterationRow(
                 algorithm=base,
                 init=init_kind,
                 threshold=thr,
                 median_iters=float(np.median(iters)),
-                mean_seconds=float(np.mean([r["seconds"] for r in results])),
+                mean_seconds=mean_seconds,
             ))
     return rows
 
@@ -211,14 +240,11 @@ def run_beta_sweep(spec: ExperimentSpec, threads: int = 1) -> list[BetaRow]:
         for init_kind, mn in (("random", spec.m_over_n_random),
                               ("spectral", spec.m_over_n_spectral)):
             m = int(round(mn * spec.n))
-            config = replace(spec.config, beta=float(beta))
-            payloads = [
-                (spec.n, m, spec.field, f"saf-{init_kind}", config, spec.noise_level,
-                 spec.power_iters, trial_seed(spec.base_seed, bi, ti))
-                for ti in range(spec.trials)
-            ]
-            results = _map_trials(payloads, threads)
-            rate = sum(r["success"] for r in results) / spec.trials
+            seeds = [trial_seed(spec.base_seed, bi, ti) for ti in range(spec.trials)]
+            trials = _trials(spec, m, seeds, algorithms=(f"saf-{init_kind}",),
+                             config=replace(spec.config, beta=float(beta)))
+            results = _map_trials(trials, threads)
+            rate = sum(r[0]["success"] for r in results) / spec.trials
             rows.append(BetaRow(float(beta), init_kind, rate))
     return rows
 

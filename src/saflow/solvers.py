@@ -34,12 +34,14 @@ class GdConfig:
     err_tol: float | None = None
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("step size mu must be positive")
+        if not (np.isfinite(self.mu) and self.mu > 0):
+            raise ValueError(f"step size mu must be finite and positive, got {self.mu}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.grad_tol < 0:
-            raise ValueError("grad_tol must be nonnegative")
+        if not self.grad_tol >= 0:  # NaN fails this too
+            raise ValueError(f"grad_tol must be nonnegative, got {self.grad_tol}")
+        if self.err_tol is not None and not (np.isfinite(self.err_tol) and self.err_tol > 0):
+            raise ValueError(f"err_tol must be finite and positive, got {self.err_tol}")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
 
@@ -133,7 +135,8 @@ def field_of_matrix(A: np.ndarray) -> str:
     return COMPLEX if np.iscomplexobj(A) else REAL
 
 
-def _make_init(A, y, init: InitStrategy, seed: int) -> np.ndarray:
+def make_init(A, y, init: InitStrategy, seed: int) -> np.ndarray:
+    """The start an init strategy gives on the instance (A, y)."""
     if init.kind == "random":
         return random_init(A.shape[1], field_of_matrix(A), seed)
     return spectral_init(A, y, init.power_iters, seed)
@@ -189,7 +192,7 @@ def gd_saf(
     """
     y = magnitudes(y)
     if z0 is None:
-        z0 = _make_init(A, y, init, seed)
+        z0 = make_init(A, y, init, seed)
     return _descend(
         "saf", A, y, z0, config, truth,
         lambda z: loss_and_gradient(z, A, y, config.beta),
@@ -263,7 +266,7 @@ def baseline_solve(
     y = magnitudes(y)
     m = y.shape[0]
     if z0 is None:
-        z0 = _make_init(A, y, init, seed)
+        z0 = make_init(A, y, init, seed)
     if kind == "wf":
         nz0sq = float(np.linalg.norm(z0) ** 2)
         step = lambda k: min(1.0 - np.exp(-(k + 1) / C.WF_K0), C.WF_MU_MAX) / nz0sq
@@ -285,8 +288,13 @@ def solve(
     init: InitStrategy,
     seed: int = 0,
     truth: np.ndarray | None = None,
+    z0: np.ndarray | None = None,
 ) -> SolveTrace:
-    """Dispatch: 'saf' runs gd_saf, anything else is a named baseline."""
+    """Dispatch: 'saf' runs gd_saf, anything else is a named baseline.
+
+    An explicit z0 is used as the start in place of the init strategy, as in
+    gd_saf and baseline_solve; no solver writes to it.
+    """
     if algorithm == "saf":
-        return gd_saf(A, y, config, init, seed, truth)
-    return baseline_solve(algorithm, A, y, config, init, seed, truth)
+        return gd_saf(A, y, config, init, seed, truth, z0)
+    return baseline_solve(algorithm, A, y, config, init, seed, truth, z0)

@@ -121,6 +121,64 @@ def test_bench_deterministic_without_timing(tmp_path):
     assert header == "algorithm,init,threshold,median_iters,mean_seconds"
 
 
+def _write_json(path, cfg):
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_bench_five_solvers_matches_golden(tmp_path):
+    # written before the drivers became trial-major (tests/golden/README.md)
+    cfg = {"n": 64, "m_over_n": 8, "trials": 3, "mu": 0.8, "max_iter": 2000,
+           "algorithms": ["saf-random", "saf-spectral", "wf", "twf", "taf"]}
+    path = _write_json(tmp_path / "cfg.json", cfg)
+    assert run_cli(["bench", path, "--out", str(tmp_path), "--no-timing"]) == 0
+    got = (tmp_path / "iterations.csv").read_bytes()
+    assert got == (GOLDEN / "bench_five_solvers.csv").read_bytes()
+
+
+def test_sweep_two_algorithms_matches_golden(tmp_path):
+    cfg = {"mode": "success", "n": 32, "m_over_n": [3, 6], "trials": 4, "mu": 0.6,
+           "max_iter": 1000, "algorithms": ["saf-random", "taf-spectral"]}
+    path = _write_json(tmp_path / "cfg.json", cfg)
+    assert run_cli(["sweep", path, "--out", str(tmp_path)]) == 0
+    got = (tmp_path / "success.csv").read_bytes()
+    assert got == (GOLDEN / "sweep_two_algorithms.csv").read_bytes()
+
+
+def test_bench_custom_thresholds(tmp_path):
+    cfg = {"n": 16, "m_over_n": 8, "trials": 3, "mu": 0.8, "max_iter": 1000,
+           "thresholds": [1e-3, 1e-8], "algorithms": ["saf-random", "taf"]}
+    path = _write_json(tmp_path / "cfg.json", cfg)
+    assert run_cli(["bench", path, "--out", str(tmp_path), "--no-timing"]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "iterations.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[2]) for r in rows] == [
+        ("saf", "0.001"), ("saf", "1e-08"), ("taf", "0.001"), ("taf", "1e-08")]
+    for loose, tight in (rows[0:2], rows[2:4]):
+        assert 0 < float(loose[3]) <= float(tight[3]) < float("inf")
+
+
+@pytest.mark.parametrize("flag,value,name", [
+    ("--mu", "nan", "mu"), ("--mu", "inf", "mu"), ("--grad-tol", "nan", "grad_tol"),
+    ("--err-tol", "-1", "err_tol"), ("--err-tol", "0", "err_tol"),
+    ("--err-tol", "inf", "err_tol"), ("--err-tol", "nan", "err_tol"),
+])
+def test_solve_rejects_bad_solver_settings(tmp_path, capsys, flag, value, name):
+    out = tmp_path / "run"
+    code = run_cli(["solve", "--n", "8", "--m", "48", flag, value, "--out", str(out)])
+    assert code == 2
+    assert name in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_sweep_rejects_nan_step_in_config(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"mode": "success", "n": 8, "m_over_n": [6], "trials": 1, "mu": NaN}')
+    assert run_cli(["sweep", str(path), "--out", str(tmp_path)]) == 2
+    assert "mu" in capsys.readouterr().err
+    assert not (tmp_path / "success.csv").exists()
+
+
 def test_bench_unknown_algorithm(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": 16, "m_over_n": 8, "algorithms": ["newton"]}))

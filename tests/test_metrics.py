@@ -1,8 +1,13 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import saflow.metrics
+import saflow.solvers
 from saflow.distances import dist, success
-from saflow.measurement import COMPLEX, REAL, gen_signal, rng_for
+from saflow.measurement import COMPLEX, REAL, gen_sensing, gen_signal, observe, rng_for
 from saflow.metrics import (
     BetaRow,
     ExperimentSpec,
@@ -17,7 +22,9 @@ from saflow.metrics import (
     write_iteration_csv,
     write_success_csv,
 )
-from saflow.solvers import GdConfig
+from saflow.solvers import GdConfig, InitStrategy, make_init, solve
+
+FIVE = ("saf-random", "saf-spectral", "wf", "twf", "taf")
 
 
 def test_dist_phase_ambiguity():
@@ -179,3 +186,54 @@ def test_sweep_parallel_matches_serial():
         config=GdConfig(mu=0.6, err_tol=1e-5, max_iter=800),
         algorithms=("saf-random",), base_seed=4)
     assert run_success_sweep(spec, threads=2) == run_success_sweep(spec, threads=1)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_shared_start_gives_each_algorithm_its_own_trace(field):
+    x = gen_signal(24, field, seed=9)
+    A = gen_sensing(192, 24, field, seed=9)
+    obs = observe(A, x)
+    config = GdConfig(mu=0.8, max_iter=600, err_tol=1e-10)
+    starts = {kind: make_init(A, obs.y, InitStrategy(kind=kind), 9)
+              for kind in ("random", "spectral")}
+    before = {kind: z0.copy() for kind, z0 in starts.items()}
+    for algorithm in FIVE:
+        base, kind = parse_algorithm(algorithm)
+        init = InitStrategy(kind=kind)
+        own = solve(base, A, obs, config, init, 9, truth=x)
+        shared = solve(base, A, obs, config, init, 9, truth=x, z0=starts[kind])
+        assert shared.reason == own.reason
+        assert shared.records == own.records  # iteration counts, losses, errors with ==
+        assert np.all(shared.final == own.final)
+    for kind, z0 in starts.items():
+        assert z0.tobytes() == before[kind].tobytes()
+
+
+def test_trial_draws_instance_and_each_start_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(saflow.metrics, "gen_sensing",
+                        counted("gen_sensing", saflow.metrics.gen_sensing))
+    monkeypatch.setattr(saflow.solvers, "spectral_init",
+                        counted("spectral_init", saflow.solvers.spectral_init))
+    monkeypatch.setattr(saflow.metrics, "solve", counted("solve", saflow.metrics.solve))
+    spec = ExperimentSpec(n=16, m_over_n=(8,), trials=3,
+                          config=GdConfig(mu=0.8, max_iter=300), algorithms=FIVE)
+    run_iteration_table(spec)
+    assert calls == {"gen_sensing": 3, "spectral_init": 3, "solve": 15}
+
+
+def test_multi_algorithm_table_parallel_matches_serial():
+    spec = ExperimentSpec(n=16, m_over_n=(8,), trials=5,
+                          config=GdConfig(mu=0.8, max_iter=1000), algorithms=FIVE, base_seed=6)
+
+    def untimed(rows):
+        return [replace(r, mean_seconds=0.0) for r in rows]
+    serial = run_iteration_table(spec, threads=1)
+    assert untimed(run_iteration_table(spec, threads=2)) == untimed(serial)
+    assert all(r.mean_seconds > 0 for r in serial)
