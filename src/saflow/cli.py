@@ -19,13 +19,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
-from .distances import SUCCESS_THRESHOLD, dist, success
+from .distances import dist, success
 from .measurement import add_noise, gen_sensing, gen_signal, observe
 from .metrics import (
     ExperimentSpec,
@@ -41,100 +41,75 @@ from .reporting import all_passed, write_report_csv
 from .solvers import DivergedError, GdConfig, InitStrategy, solve as run_solver
 from .verify import SUITES, run_suite
 
-_COMMON_KEYS = {
-    "n": {"type": "integer", "minimum": 1},
-    "field": {"enum": ["real", "complex"]},
-    "trials": {"type": "integer", "minimum": 1},
-    "beta": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-    "mu": {"type": "number", "exclusiveMinimum": 0},
-    "max_iter": {"type": "integer", "minimum": 1},
-    "err_tol": {"type": "number", "exclusiveMinimum": 0},
-    "noise_level": {"type": "number", "minimum": 0},
-    "base_seed": {"type": "integer", "minimum": 0},
-    "power_iters": {"type": "integer", "minimum": 1},
-    "algorithms": {
-        "type": "array",
-        "minItems": 1,
-        "items": {"type": "string"},
-    },
+# The keys each config accepts, with their JSON types: int (never a bool or a
+# float), float (an int too), str, or [T] (a non-empty list of T).  Defaults
+# and bounds are ExperimentSpec's and GdConfig's; a key a command would
+# ignore is not accepted.
+_SHARED_KEYS = {"n": int, "field": str, "trials": int, "mu": float, "max_iter": int,
+                "noise_level": float, "base_seed": int, "power_iters": int}
+CONFIG_KEYS = {
+    "success sweep": {**_SHARED_KEYS, "mode": str, "beta": float, "err_tol": float,
+                      "algorithms": [str], "m_over_n": [float]},
+    "beta sweep": {**_SHARED_KEYS, "mode": str, "err_tol": float, "beta_grid": [float],
+                   "m_over_n_random": float, "m_over_n_spectral": float},
+    "bench": {**_SHARED_KEYS, "beta": float, "algorithms": [str], "m_over_n": float,
+              "thresholds": [float]},
 }
-
-SWEEP_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["mode", "n"],
-    "properties": {
-        **_COMMON_KEYS,
-        "mode": {"enum": ["success", "beta"]},
-        "m_over_n": {
-            "type": "array", "minItems": 1,
-            "items": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "beta_grid": {
-            "type": "array", "minItems": 1,
-            "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        },
-        "m_over_n_random": {"type": "number", "exclusiveMinimum": 0},
-        "m_over_n_spectral": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
-
-BENCH_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["n", "m_over_n"],
-    "properties": {
-        **_COMMON_KEYS,
-        "m_over_n": {"type": "number", "exclusiveMinimum": 0},
-        "thresholds": {
-            "type": "array", "minItems": 1,
-            "items": {"type": "number", "exclusiveMinimum": 0},
-        },
-    },
-}
+REQUIRED_KEYS = {"success sweep": ("n",), "beta sweep": ("n",), "bench": ("n", "m_over_n")}
+_GD_FIELDS = {f.name for f in fields(GdConfig)}
+_SPEC_FIELDS = {f.name for f in fields(ExperimentSpec)}
 
 
-def _load_config(path: str, schema: dict) -> dict:
+def _has_type(value, kind) -> bool:
+    """Whether a parsed JSON value has the CONFIG_KEYS type `kind`."""
+    if isinstance(kind, list):
+        items = value if isinstance(value, list) else []
+        return bool(items) and all(_has_type(v, kind[0]) for v in items)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _load_config(path: str, command: str) -> tuple[dict, ExperimentSpec]:
+    """The config at path, checked for `command` ("sweep" or "bench"), and its spec."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2) from exc
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     try:
-        jsonschema.validate(cfg, schema)
-    except jsonschema.ValidationError as exc:
-        print(f"error: config {path}: {exc.json_path}: {exc.message}", file=sys.stderr)
-        raise SystemExit(2) from exc
-    return cfg
+        return cfg, _spec_from_config(cfg, command)
+    except ValueError as exc:
+        raise ValueError(f"config {path}: {exc}") from None
 
 
-def _spec_from_config(cfg: dict) -> ExperimentSpec:
-    config = GdConfig(
-        mu=cfg.get("mu", 0.6),
-        beta=cfg.get("beta", 0.5),
-        max_iter=cfg.get("max_iter", 2000),
-        err_tol=cfg.get("err_tol", SUCCESS_THRESHOLD),
-    )
-    kwargs = dict(
-        n=cfg["n"],
-        field=cfg.get("field", "real"),
-        trials=cfg.get("trials", 50),
-        config=config,
-        algorithms=tuple(cfg.get("algorithms", ["saf-random"])),
-        noise_level=cfg.get("noise_level", 0.0),
-        base_seed=cfg.get("base_seed", 0),
-        power_iters=cfg.get("power_iters", 50),
-    )
-    if "m_over_n" in cfg:
-        mn = cfg["m_over_n"]
-        kwargs["m_over_n"] = tuple(mn) if isinstance(mn, list) else (mn,)
-    if "beta_grid" in cfg:
-        kwargs["beta_grid"] = tuple(cfg["beta_grid"])
-    for key in ("m_over_n_random", "m_over_n_spectral"):
-        if key in cfg:
-            kwargs[key] = cfg[key]
-    return ExperimentSpec(**kwargs)
+def _spec_from_config(cfg, command: str) -> ExperimentSpec:
+    """The spec of a parsed config: its keys, checked, over ExperimentSpec's defaults."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"must be a JSON object, got {type(cfg).__name__}")
+    if command == "sweep":
+        if cfg.get("mode") not in ("success", "beta"):
+            raise ValueError(f"mode must be 'success' or 'beta', got {cfg.get('mode')!r}")
+        command = f"{cfg['mode']} sweep"
+    keys = CONFIG_KEYS[command]
+    for key in REQUIRED_KEYS[command]:
+        if key not in cfg:
+            raise ValueError(f"missing required key {key!r}")
+    for key, value in cfg.items():
+        kind = keys.get(key)
+        if kind is None:
+            raise ValueError(f"{key!r} is not a key of a {command} config")
+        if not _has_type(value, kind):
+            what = (f"a non-empty list of {kind[0].__name__}" if isinstance(kind, list)
+                    else kind.__name__)
+            raise ValueError(f"{key} must be {what}, got {value!r}")
+    values = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items()}
+    if not isinstance(values.get("m_over_n", ()), tuple):  # bench: one m/n
+        values["m_over_n"] = (values["m_over_n"],)
+    config = replace(ExperimentSpec.config,
+                     **{k: v for k, v in values.items() if k in _GD_FIELDS})
+    return ExperimentSpec(config=config,
+                          **{k: v for k, v in values.items() if k in _SPEC_FIELDS})
 
 
 def _positive_int(text: str) -> int:
@@ -153,17 +128,15 @@ def _threads(args) -> int:
 def cmd_solve(args) -> int:
     config = GdConfig(mu=args.mu, beta=args.beta, max_iter=args.max_iter,
                       grad_tol=args.grad_tol, err_tol=args.err_tol)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     x = gen_signal(args.n, args.field, args.seed)
     A = gen_sensing(args.m, args.n, args.field, args.seed)
-    obs = observe(A, x)
-    if args.noise > 0:
-        obs = add_noise(obs, args.noise, args.seed)
+    obs = add_noise(observe(A, x), args.noise, args.seed)
     base, init_kind = parse_algorithm(args.algorithm)
     if args.init:
         init_kind = args.init
     init = InitStrategy(kind=init_kind, power_iters=args.power_iters)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     code = 0
     try:
         trace = run_solver(base, A, obs, config, init, args.seed, truth=x)
@@ -186,8 +159,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config, SWEEP_SCHEMA)
-    spec = _spec_from_config(cfg)
+    cfg, spec = _load_config(args.config, "sweep")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     threads = _threads(args)
@@ -204,10 +176,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _load_config(args.config, BENCH_SCHEMA)
-    spec = _spec_from_config(cfg)
-    thresholds = tuple(cfg.get("thresholds", [1e-5, 1e-10]))
-    rows = run_iteration_table(spec, thresholds=thresholds, threads=_threads(args))
+    cfg, spec = _load_config(args.config, "bench")
+    thresholds = {"thresholds": tuple(cfg["thresholds"])} if "thresholds" in cfg else {}
+    rows = run_iteration_table(spec, threads=_threads(args), **thresholds)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "iterations.csv"
@@ -244,19 +215,22 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="writes trace.csv (columns iter,grad_norm,rel_err) and summary.json")
     p.add_argument("--n", type=_positive_int, required=True, help="signal dimension")
     p.add_argument("--m", type=_positive_int, required=True, help="number of measurements")
-    p.add_argument("--field", choices=["real", "complex"], default="real")
-    p.add_argument("--beta", type=float, default=0.5, help="smoothing parameter in (0, 1]")
-    p.add_argument("--mu", type=float, default=0.6, help="step size")
-    p.add_argument("--max-iter", type=_positive_int, default=2000, dest="max_iter")
-    p.add_argument("--grad-tol", type=float, default=1e-14, dest="grad_tol")
-    p.add_argument("--err-tol", type=float, default=SUCCESS_THRESHOLD, dest="err_tol")
+    spec = ExperimentSpec()  # a solve's defaults are an experiment's
+    gd = spec.config
+    p.add_argument("--field", choices=["real", "complex"], default=spec.field)
+    p.add_argument("--beta", type=float, default=gd.beta, help="smoothing parameter in (0, 1]")
+    p.add_argument("--mu", type=float, default=gd.mu, help="step size")
+    p.add_argument("--max-iter", type=_positive_int, default=gd.max_iter, dest="max_iter")
+    p.add_argument("--grad-tol", type=float, default=gd.grad_tol, dest="grad_tol")
+    p.add_argument("--err-tol", type=float, default=gd.err_tol, dest="err_tol")
     p.add_argument("--init", choices=["random", "spectral"], default=None,
                    help="override the algorithm's default initialization")
-    p.add_argument("--power-iters", type=_positive_int, default=50, dest="power_iters")
+    p.add_argument("--power-iters", type=_positive_int, default=spec.power_iters,
+                   dest="power_iters")
     p.add_argument("--algorithm", default="saf",
                    help="saf | wf | twf | taf (optionally with -random/-spectral)")
-    p.add_argument("--noise", type=float, default=0.0, help="additive noise level")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--noise", type=float, default=spec.noise_level, help="additive noise level")
+    p.add_argument("--seed", type=int, default=spec.base_seed)
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_solve)
 
@@ -264,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="success-rate or beta sweep from a JSON config",
         epilog="writes success.csv (m_over_n,algorithm,success_rate,trials) "
                "or beta.csv (beta,init,success_rate) per the config's mode")
-    p.add_argument("config", help="JSON config path (see README for the schema)")
+    p.add_argument("config", help="JSON config path (see README for its keys)")
     p.add_argument("--out", default=".")
     p.add_argument("--threads", type=_positive_int, default=None,
                    help="trial pool size; 1 (default, or SAF_THREADS) is bit-exact")

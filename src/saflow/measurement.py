@@ -118,8 +118,8 @@ def add_noise(obs: Observations, level: float, seed: int = 0) -> Observations:
     The clamp keeps magnitudes nonnegative; at small levels it is almost
     never active.  level = 0 returns the input unchanged.
     """
-    if level < 0:
-        raise ValueError("noise level must be nonnegative")
+    if not (np.isfinite(level) and level >= 0):
+        raise ValueError(f"noise level must be finite and nonnegative, got {level}")
     if level == 0:
         return obs
     g = rng_for(seed, 2).standard_normal(obs.m)

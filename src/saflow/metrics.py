@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -35,37 +35,54 @@ def parse_algorithm(name: str) -> tuple[str, str]:
     default to spectral initialization, the smoothed solver to random.
     """
     base, _, init = name.partition("-")
-    if base not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {name!r}")
-    if not init:
+    if not init and base in ALGORITHMS:
         init = "random" if base == "saf" else "spectral"
-    if init not in ("random", "spectral"):
-        raise ValueError(f"unknown init {init!r} in {name!r}")
+    if base not in ALGORITHMS or init not in ("random", "spectral"):
+        raise ValueError(f"unknown algorithm {name!r}; algorithms are saf, wf, twf and taf, "
+                         f"each with an optional -random or -spectral")
     return base, init
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """One experiment: the defaults and bounds of the sweep and bench config keys.
+
+    An out-of-range field raises ValueError naming it.
+    """
+
     n: int = 128
     field: str = REAL
     m_over_n: tuple = (1, 2, 3, 4, 5, 6, 7, 8)
     trials: int = 50
-    config: GdConfig = dc_field(
-        default_factory=lambda: GdConfig(mu=0.6, err_tol=SUCCESS_THRESHOLD))
+    config: GdConfig = GdConfig(err_tol=SUCCESS_THRESHOLD)
     algorithms: tuple = ("saf-random",)
     noise_level: float = 0.0
     base_seed: int = 0
-    power_iters: int = 50
+    power_iters: int = InitStrategy.power_iters
     beta_grid: tuple = tuple(np.round(np.arange(0.1, 1.01, 0.1), 2))
     m_over_n_random: float = 4.0
     m_over_n_spectral: float = 2.5
 
     def __post_init__(self):
         check_field(self.field)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if any(g <= 0 for g in self.m_over_n):
-            raise ValueError("m/n grid values must be positive")
+        for key in ("n", "trials", "power_iters"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        if not (np.isfinite(self.noise_level) and self.noise_level >= 0):
+            raise ValueError(f"noise_level must be finite and nonnegative, got {self.noise_level}")
+        ratios = {"m_over_n": self.m_over_n, "m_over_n_random": (self.m_over_n_random,),
+                  "m_over_n_spectral": (self.m_over_n_spectral,)}
+        for key, values in ratios.items():
+            if not (values and all(0 < v < np.inf for v in values)):
+                raise ValueError(f"{key} must be finite and positive, got {getattr(self, key)}")
+        if not (self.beta_grid and all(0 < b <= 1 for b in self.beta_grid)):
+            raise ValueError(f"beta_grid values must lie in (0, 1], got {self.beta_grid}")
+        if not self.algorithms:
+            raise ValueError("algorithms must name at least one algorithm")
+        for name in self.algorithms:
+            parse_algorithm(name)
 
 
 @dataclass(frozen=True)
@@ -113,9 +130,7 @@ def _solve_trial(trial: Trial):
     """
     x = gen_signal(trial.n, trial.field, trial.seed)
     A = gen_sensing(trial.m, trial.n, trial.field, trial.seed)
-    obs = observe(A, x)
-    if trial.noise_level > 0:
-        obs = add_noise(obs, trial.noise_level, trial.seed)
+    obs = add_noise(observe(A, x), trial.noise_level, trial.seed)
     starts = {}
     for algorithm in trial.algorithms:
         base, init_kind = parse_algorithm(algorithm)
@@ -202,6 +217,8 @@ def run_iteration_table(
     Wall time is reported for context only; it is hardware-dependent.
     """
     thresholds = tuple(thresholds)
+    if not (thresholds and all(0 < t < np.inf for t in thresholds)):
+        raise ValueError(f"thresholds must be finite and positive, got {thresholds}")
     m = int(round(spec.m_over_n[0] * spec.n))
     stop = replace(spec.config, err_tol=min(thresholds))
     seeds = [trial_seed(spec.base_seed, 0, ti) for ti in range(spec.trials)]

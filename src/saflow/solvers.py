@@ -15,7 +15,7 @@ import numpy as np
 from . import constants as C
 from .calculus import DEFAULT_BETA, loss_and_gradient
 from .distances import dist
-from .measurement import COMPLEX, REAL, check_field, magnitudes, rng_for
+from .measurement import REAL, check_field, field_of, magnitudes, rng_for
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,8 @@ def random_init(n: int, field_tag: str = REAL, seed: int = 0) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def spectral_init(A: np.ndarray, y, power_iters: int = 50, seed: int = 0) -> np.ndarray:
+def spectral_init(A: np.ndarray, y, power_iters: int = InitStrategy.power_iters,
+                  seed: int = 0) -> np.ndarray:
     """Leading-eigenvector initial guess of Y = mean_i y_i^2 a_i a_i^H.
 
     Estimated with power iterations from a seeded Gaussian start, then
@@ -123,7 +124,7 @@ def spectral_init(A: np.ndarray, y, power_iters: int = 50, seed: int = 0) -> np.
         raise ValueError("degenerate input: all magnitudes are zero")
     m, n = A.shape
     y2 = y * y
-    v = random_init(n, field_of_matrix(A), seed)
+    v = random_init(n, field_of(A), seed)
     v /= np.linalg.norm(v)
     for _ in range(power_iters):
         v = A.T @ (y2 * (A.conj() @ v)) / m
@@ -131,14 +132,10 @@ def spectral_init(A: np.ndarray, y, power_iters: int = 50, seed: int = 0) -> np.
     return float(np.sqrt(np.mean(y2))) * v
 
 
-def field_of_matrix(A: np.ndarray) -> str:
-    return COMPLEX if np.iscomplexobj(A) else REAL
-
-
 def make_init(A, y, init: InitStrategy, seed: int) -> np.ndarray:
     """The start an init strategy gives on the instance (A, y)."""
     if init.kind == "random":
-        return random_init(A.shape[1], field_of_matrix(A), seed)
+        return random_init(A.shape[1], field_of(A), seed)
     return spectral_init(A, y, init.power_iters, seed)
 
 

@@ -38,6 +38,14 @@ def test_solve_deterministic_outputs(tmp_path):
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
 
+def test_solve_defaults_match_golden(tmp_path):
+    # every flag but --n, --m and --seed at its default (tests/golden/README.md)
+    assert run_cli(["solve", "--n", "24", "--m", "144", "--seed", "5",
+                    "--out", str(tmp_path)]) == 0
+    for name in ("trace.csv", "summary.json"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / f"solve_{name}").read_bytes()
+
+
 def test_solve_rejects_zero_m(tmp_path):
     code = run_cli(["solve", "--n", "16", "--m", "0", "--out", str(tmp_path)])
     assert code == 2
@@ -145,6 +153,14 @@ def test_sweep_two_algorithms_matches_golden(tmp_path):
     assert got == (GOLDEN / "sweep_two_algorithms.csv").read_bytes()
 
 
+def test_sweep_beta_mode_matches_golden(tmp_path):
+    # every key but n, trials and beta_grid at its default (tests/golden/README.md)
+    cfg = {"mode": "beta", "n": 16, "trials": 4, "beta_grid": [0.2, 0.4, 0.6]}
+    path = _write_json(tmp_path / "cfg.json", cfg)
+    assert run_cli(["sweep", path, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "beta.csv").read_bytes() == (GOLDEN / "sweep_beta.csv").read_bytes()
+
+
 def test_bench_custom_thresholds(tmp_path):
     cfg = {"n": 16, "m_over_n": 8, "trials": 3, "mu": 0.8, "max_iter": 1000,
            "thresholds": [1e-3, 1e-8], "algorithms": ["saf-random", "taf"]}
@@ -162,13 +178,15 @@ def test_bench_custom_thresholds(tmp_path):
     ("--mu", "nan", "mu"), ("--mu", "inf", "mu"), ("--grad-tol", "nan", "grad_tol"),
     ("--err-tol", "-1", "err_tol"), ("--err-tol", "0", "err_tol"),
     ("--err-tol", "inf", "err_tol"), ("--err-tol", "nan", "err_tol"),
+    ("--noise", "-1", "noise level"), ("--noise", "nan", "noise level"),
+    ("--noise", "inf", "noise level"),
 ])
 def test_solve_rejects_bad_solver_settings(tmp_path, capsys, flag, value, name):
     out = tmp_path / "run"
     code = run_cli(["solve", "--n", "8", "--m", "48", flag, value, "--out", str(out)])
     assert code == 2
     assert name in capsys.readouterr().err
-    assert not (out / "summary.json").exists()
+    assert not out.exists()
 
 
 def test_sweep_rejects_nan_step_in_config(tmp_path, capsys):
@@ -183,6 +201,56 @@ def test_bench_unknown_algorithm(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": 16, "m_over_n": 8, "algorithms": ["newton"]}))
     assert run_cli(["bench", str(path), "--out", str(tmp_path)]) == 2
+
+
+SUCCESS = '"mode": "success", "n": 8, '
+BETA = '"mode": "beta", "n": 8, '
+BENCH = '"n": 8, "m_over_n": 6, '
+
+
+@pytest.mark.parametrize("command,text,named", [
+    ("sweep", '{' + SUCCESS + '"stepsize": 0.6}', "'stepsize'"),
+    ("sweep", '{"n": 8}', "mode"),
+    ("sweep", '{"mode": "grid", "n": 8}', "mode"),
+    ("bench", '{"n": 8}', "m_over_n"),
+    ("sweep", '{"mode": "success", "n": "8"}', "n"),
+    ("sweep", '{"mode": "success", "n": true}', "n"),
+    ("sweep", '{"mode": "success", "n": 16.0}', "n"),
+    ("sweep", '{' + SUCCESS + '"trials": 2.0}', "trials"),
+    ("bench", '{' + BENCH + '"max_iter": 5.0}', "max_iter"),
+    ("sweep", '{' + SUCCESS + '"base_seed": -1}', "base_seed"),
+    ("sweep", '{' + SUCCESS + '"power_iters": 0}', "power_iters"),
+    ("sweep", '{' + SUCCESS + '"noise_level": NaN}', "noise_level"),
+    ("sweep", '{' + SUCCESS + '"noise_level": Infinity}', "noise_level"),
+    ("bench", '{' + BENCH + '"noise_level": -0.1}', "noise_level"),
+    ("sweep", '{' + SUCCESS + '"m_over_n": [NaN]}', "m_over_n"),
+    ("sweep", '{' + SUCCESS + '"m_over_n": [6, Infinity]}', "m_over_n"),
+    ("bench", '{"n": 8, "m_over_n": Infinity}', "m_over_n"),
+    ("sweep", '{' + BETA + '"m_over_n_random": NaN}', "m_over_n_random"),
+    ("sweep", '{' + BETA + '"m_over_n_random": Infinity}', "m_over_n_random"),
+    ("sweep", '{' + BETA + '"m_over_n_spectral": 0}', "m_over_n_spectral"),
+    ("sweep", '{' + BETA + '"beta_grid": [0.5, 1.5]}', "beta_grid"),
+    ("bench", '{' + BENCH + '"algorithms": []}', "algorithms"),
+    ("bench", '{' + BENCH + '"algorithms": ["newton"]}', "algorithms"),
+    ("sweep", '{' + SUCCESS + '"algorithms": ["saf-warm"]}', "algorithms"),
+    ("bench", '{' + BENCH + '"thresholds": [1e-5, NaN]}', "thresholds"),
+    ("sweep", '[{"mode": "success", "n": 8}]', "JSON object"),
+    # keys the command would ignore
+    ("bench", '{' + BENCH + '"err_tol": 1e-3}', "'err_tol'"),
+    ("sweep", '{' + BETA + '"algorithms": ["saf-random"]}', "'algorithms'"),
+    ("sweep", '{' + BETA + '"m_over_n": [4]}', "'m_over_n'"),
+    ("sweep", '{' + BETA + '"beta": 0.5}', "'beta'"),
+    ("sweep", '{' + SUCCESS + '"beta_grid": [0.5]}', "'beta_grid'"),
+    ("sweep", '{' + SUCCESS + '"m_over_n_random": 4}', "'m_over_n_random'"),
+    ("sweep", '{' + SUCCESS + '"m_over_n_spectral": 2.5}', "'m_over_n_spectral'"),
+])
+def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, command, text, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli([command, str(path), "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_verify_appendix(tmp_path):

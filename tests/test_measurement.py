@@ -111,6 +111,12 @@ def test_add_noise_rejects_negative_level():
         add_noise(Observations(y=np.ones(2)), -1.0)
 
 
+@pytest.mark.parametrize("level", [float("nan"), float("inf")])
+def test_add_noise_rejects_non_finite_level(level):
+    with pytest.raises(ValueError, match="noise level"):
+        add_noise(Observations(y=np.ones(2)), level)
+
+
 def test_trial_seed_stable_and_distinct():
     assert trial_seed(0, 1, 2) == trial_seed(0, 1, 2)
     assert trial_seed(0, 1, 2) != trial_seed(0, 2, 1)

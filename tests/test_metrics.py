@@ -237,3 +237,25 @@ def test_multi_algorithm_table_parallel_matches_serial():
     serial = run_iteration_table(spec, threads=1)
     assert untimed(run_iteration_table(spec, threads=2)) == untimed(serial)
     assert all(r.mean_seconds > 0 for r in serial)
+
+
+@pytest.mark.parametrize("changes,named", [
+    ({"n": 0}, "n"), ({"trials": 0}, "trials"), ({"power_iters": 0}, "power_iters"),
+    ({"base_seed": -1}, "base_seed"), ({"field": "quaternion"}, "field"),
+    ({"noise_level": -0.1}, "noise_level"), ({"noise_level": float("nan")}, "noise_level"),
+    ({"m_over_n": ()}, "m_over_n"), ({"m_over_n": (4, float("inf"))}, "m_over_n"),
+    ({"m_over_n_random": float("nan")}, "m_over_n_random"),
+    ({"m_over_n_spectral": 0.0}, "m_over_n_spectral"),
+    ({"beta_grid": (0.5, 0.0)}, "beta_grid"), ({"beta_grid": (1.5,)}, "beta_grid"),
+    ({"algorithms": ()}, "algorithms"), ({"algorithms": ("saf", "newton")}, "algorithms"),
+])
+def test_experiment_spec_rejects_out_of_range_fields(changes, named):
+    with pytest.raises(ValueError, match=named):
+        ExperimentSpec(**changes)
+
+
+def test_iteration_table_rejects_bad_thresholds():
+    spec = ExperimentSpec(n=8, m_over_n=(6,), trials=1)
+    for thresholds in ((), (1e-5, float("nan")), (0.0,)):
+        with pytest.raises(ValueError, match="thresholds"):
+            run_iteration_table(spec, thresholds=thresholds)
