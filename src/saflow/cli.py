@@ -122,7 +122,11 @@ def _positive_int(text: str) -> int:
 def _threads(args) -> int:
     if args.threads is not None:
         return args.threads
-    return int(os.environ.get("SAF_THREADS", "1"))
+    text = os.environ.get("SAF_THREADS", "1")
+    try:
+        return _positive_int(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ValueError(f"SAF_THREADS must be a positive integer, got {text!r}") from None
 
 
 def cmd_solve(args) -> int:
@@ -160,9 +164,9 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, spec = _load_config(args.config, "sweep")
+    threads = _threads(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    threads = _threads(args)
     if cfg["mode"] == "success":
         rows = run_success_sweep(spec, threads=threads)
         path = outdir / "success.csv"

@@ -25,6 +25,11 @@ from .reporting import CheckResult
 QUAD_OPTS = dict(epsabs=1e-10, epsrel=1e-10, limit=200)
 MC_DEFAULT_SAMPLES = 10_000_000
 _MC_BATCH = 2_000_000
+# Most draws a Monte Carlo piece scores at once: 512 KiB per float array, so
+# the few arrays a piece holds stay in cache instead of streaming whole
+# 16 MB batch arrays through memory.  At least 128 (numpy's pairwise
+# block), so every piece is a leaf of numpy's summation tree.
+_MC_LEAF = 65_536
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,21 @@ MC_EXPECTATION_STREAM = 4  # draw stream of mc_indicator_expectation
 MC_RATE_STREAM = 5         # draw stream of mc_indicator_rate_fd
 
 
+def _pairwise_sum(leaf_sum, start: int, n: int):
+    """The sum of n values from `start` on, added up as numpy's np.sum adds them.
+
+    numpy's pairwise summation splits n > 128 values at n//2 rounded down to
+    a multiple of 8, recursively.  This cuts the same tree until a piece
+    holds at most _MC_LEAF values, takes leaf_sum(a, b), the np.sum of the
+    values a..b-1, on each piece in order, and adds the pieces' sums back up
+    the tree, so the result equals np.sum of all n values bit for bit.
+    """
+    if n <= _MC_LEAF:
+        return leaf_sum(start, start + n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(leaf_sum, start, half) + _pairwise_sum(leaf_sum, start + half, n - half)
+
+
 def _mc_estimates(stats, samples: int, seed: int, stream: int) -> list[MCEstimate]:
     """Score every statistic in `stats` on one shared pass of draws.
 
@@ -106,8 +126,12 @@ def _mc_estimates(stats, samples: int, seed: int, stream: int) -> list[MCEstimat
     U = sigma V + tau W.  Every statistic sees the same draws and sums its
     values batch by batch, so its estimate is bitwise equal to scoring it
     alone; statistics that share sigma share U, and those that also share g
-    share its values.  Arrays are dropped as soon as no later step reads
-    them, so peak memory stays near that of a one-statistic pass.
+    share its values.
+
+    Each batch is scored piece by piece on the leaves of numpy's summation
+    tree (_pairwise_sum), so a piece's arrays stay in cache and the batch
+    sums keep their bits.  g must therefore act elementwise: g(U, V) on a
+    piece of the draws must be that piece of g on the whole batch.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -116,31 +140,24 @@ def _mc_estimates(stats, samples: int, seed: int, stream: int) -> list[MCEstimat
         if h is not None and not 0 < h < lam:
             raise ValueError("need 0 < h < lam")
         groups.setdefault(sigma, {}).setdefault(g, []).append(i)
-    totals = [0.0] * len(stats)
-    totals_sq = [0.0] * len(stats)
-    rng = rng_for(seed, stream)
-    done = 0
-    while done < samples:
-        k = min(_MC_BATCH, samples - done)
-        v = rng.standard_normal(k)
-        w = rng.standard_normal(k)
-        for j, (sigma, by_g) in enumerate(groups.items()):
+
+    def score(a: int, b: int) -> np.ndarray:
+        """Each statistic's sum (row 0) and sum of squares (row 1) over draws a..b-1."""
+        sums = np.empty((2, len(stats)))
+        v_ab = v[a:b]
+        av = np.abs(v_ab)
+        for sigma, by_g in groups.items():
             tau = math.sqrt(max(1.0 - sigma * sigma, 0.0))
-            u = sigma * v + tau * w
-            if j == len(groups) - 1:
-                del w  # the last sigma frees w before any g runs
-            # every indicator mask of this sigma, built before any g runs
+            u = sigma * v_ab + tau * w[a:b]
             au = np.abs(u)
-            av = np.abs(v)
             masks = {}
             for lam, h in {stats[i][2:] for idx in by_g.values() for i in idx}:
                 if h is None:
                     masks[lam, h] = au <= lam * av
                 else:
                     masks[lam, h] = (au <= (lam + h) * av, au <= (lam - h) * av)
-            del au, av
             for g, idx in by_g.items():
-                gv = np.asarray(g(u, v), dtype=float)
+                gv = np.asarray(g(u, v_ab), dtype=float)
                 for i in idx:
                     _, _, lam, h = stats[i]
                     if h is None:
@@ -150,13 +167,22 @@ def _mc_estimates(stats, samples: int, seed: int, stream: int) -> list[MCEstimat
                         vals = np.subtract(hi, lo, dtype=float)
                         np.multiply(gv, vals, out=vals)
                         np.divide(vals, 2.0 * h, out=vals)
-                    totals[i] += float(vals.sum())
+                    sums[0, i] = vals.sum()
                     np.multiply(vals, vals, out=vals)
-                    totals_sq[i] += float(vals.sum())
-                del gv, vals  # before the next g allocates
+                    sums[1, i] = vals.sum()
+        return sums
+
+    totals = np.zeros((2, len(stats)))
+    rng = rng_for(seed, stream)
+    done = 0
+    while done < samples:
+        k = min(_MC_BATCH, samples - done)
+        v = rng.standard_normal(k)
+        w = rng.standard_normal(k)
+        totals += _pairwise_sum(score, 0, k)
         done += k
     out = []
-    for total, total_sq in zip(totals, totals_sq):
+    for total, total_sq in totals.T.tolist():
         mean = total / samples
         var = max(total_sq / samples - mean * mean, 0.0)
         out.append(MCEstimate(mean=mean, std_error=math.sqrt(var / samples),

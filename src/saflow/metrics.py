@@ -77,6 +77,9 @@ class ExperimentSpec:
         for key, values in ratios.items():
             if not (values and all(0 < v < np.inf for v in values)):
                 raise ValueError(f"{key} must be finite and positive, got {getattr(self, key)}")
+            if any(int(round(v * self.n)) < 1 for v in values):
+                raise ValueError(f"{key} must give m = round({key} * n) >= 1 at n={self.n}, "
+                                 f"got {getattr(self, key)}")
         if not (self.beta_grid and all(0 < b <= 1 for b in self.beta_grid)):
             raise ValueError(f"beta_grid values must lie in (0, 1], got {self.beta_grid}")
         if not self.algorithms:

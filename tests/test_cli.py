@@ -235,6 +235,12 @@ BENCH = '"n": 8, "m_over_n": 6, '
     ("sweep", '{' + SUCCESS + '"algorithms": ["saf-warm"]}', "algorithms"),
     ("bench", '{' + BENCH + '"thresholds": [1e-5, NaN]}', "thresholds"),
     ("sweep", '[{"mode": "success", "n": 8}]', "JSON object"),
+    # ratios that give m = round(ratio * n) = 0 measurements
+    ("sweep", '{"mode": "success", "n": 1, "m_over_n": [0.4]}', "m_over_n"),
+    ("sweep", '{' + SUCCESS + '"m_over_n": [4, 0.05]}', "m_over_n"),
+    ("bench", '{"n": 8, "m_over_n": 0.0625}', "m_over_n"),
+    ("sweep", '{"mode": "beta", "n": 2, "m_over_n_random": 0.2}', "m_over_n_random"),
+    ("sweep", '{"mode": "beta", "n": 1, "m_over_n_spectral": 0.5}', "m_over_n_spectral"),
     # keys the command would ignore
     ("bench", '{' + BENCH + '"err_tol": 1e-3}', "'err_tol'"),
     ("sweep", '{' + BETA + '"algorithms": ["saf-random"]}', "'algorithms'"),
@@ -250,7 +256,31 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, command, text, name
     out = tmp_path / "out"
     assert run_cli([command, str(path), "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
+    assert not out.exists()
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["sweep", "bench"])
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
+def test_bad_saf_threads_exits_2_naming_it(tmp_path, capsys, monkeypatch, command, value):
+    path = tmp_path / "cfg.json"
+    path.write_text('{' + (SUCCESS if command == "sweep" else BENCH) + '"trials": 1}')
+    out = tmp_path / "out"
+    monkeypatch.setenv("SAF_THREADS", value)
+    assert run_cli([command, str(path), "--out", str(out)]) == 2
+    assert "SAF_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_saf_threads_sets_the_pool_size(tmp_path, monkeypatch):
+    path = tmp_path / "cfg.json"
+    path.write_text('{' + SUCCESS + '"m_over_n": [4], "trials": 4}')
+    monkeypatch.setenv("SAF_THREADS", "1")
+    assert run_cli(["sweep", str(path), "--out", str(tmp_path / "one")]) == 0
+    monkeypatch.setenv("SAF_THREADS", "2")
+    assert run_cli(["sweep", str(path), "--out", str(tmp_path / "two")]) == 0
+    assert ((tmp_path / "two" / "success.csv").read_bytes()
+            == (tmp_path / "one" / "success.csv").read_bytes())
 
 
 def test_verify_appendix(tmp_path):

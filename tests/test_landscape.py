@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,43 @@ def test_mc_engine_one_pass_is_bitwise_one_at_a_time():
     alone = ls.mc_indicator_rate_fd(g, sigma, lam, h=h, samples=samples, seed=3)
     assert (alone.mean, alone.std_error) == _loop_estimate(
         g, sigma, lam, h, samples, 3, ls.MC_RATE_STREAM)
+
+
+@pytest.mark.parametrize("leaf", [128, ls._MC_LEAF])
+@pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 65_536, 65_537,
+                               1_000_000, 2_000_000, 2_000_001])
+def test_leaf_sums_recombine_to_numpy_sum(monkeypatch, n, leaf):
+    # the engine relies on numpy's summation order, which numpy does not
+    # promise: if it changes, this fails instead of the estimates drifting
+    monkeypatch.setattr(ls, "_MC_LEAF", leaf)
+    rng = rng_for(41)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 13, n)
+    pieces = []
+
+    def leaf_sum(a, b):
+        pieces.append((a, b))
+        return x[a:b].sum()
+
+    assert ls._pairwise_sum(leaf_sum, 0, n) == np.sum(x)
+    assert pieces[0][0] == 0 and pieces[-1][1] == n
+    assert all(b == a_next for (_, b), (a_next, _) in zip(pieces, pieces[1:]))
+    assert all(0 < b - a <= leaf for a, b in pieces)
+
+
+def test_mc_engine_peak_memory_stays_near_the_draws():
+    # a 2M-sample batch's two draw arrays take 30.5 MiB; the bound leaves
+    # room for one piece's temporaries, not for one 15 MiB batch-sized array
+    g_tsq = lambda t, s: t * t
+    g_abs = lambda t, s: np.abs(t * s)
+    stats = [(g_tsq, 0.25, 1.0, None), (g_abs, 0.75, np.inf, None),
+             (g_tsq, 0.25, 0.5, 0.02), (g_abs, 0.75, 1.0, 0.1)]
+    tracemalloc.start()
+    try:
+        ls._mc_estimates(stats, 2_000_000, seed=0, stream=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_mc_estimators_reject_bad_budget_and_width():

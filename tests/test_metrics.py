@@ -248,6 +248,8 @@ def test_multi_algorithm_table_parallel_matches_serial():
     ({"m_over_n_spectral": 0.0}, "m_over_n_spectral"),
     ({"beta_grid": (0.5, 0.0)}, "beta_grid"), ({"beta_grid": (1.5,)}, "beta_grid"),
     ({"algorithms": ()}, "algorithms"), ({"algorithms": ("saf", "newton")}, "algorithms"),
+    ({"n": 1, "m_over_n": (0.4,)}, "m_over_n"), ({"n": 2, "m_over_n_random": 0.2}, "m_over_n_random"),
+    ({"n": 1, "m_over_n_spectral": 0.5}, "m_over_n_spectral"),
 ])
 def test_experiment_spec_rejects_out_of_range_fields(changes, named):
     with pytest.raises(ValueError, match=named):
