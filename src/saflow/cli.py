@@ -119,6 +119,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def _threads(args) -> int:
     if args.threads is not None:
         return args.threads
@@ -234,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", default="saf",
                    help="saf | wf | twf | taf (optionally with -random/-spectral)")
     p.add_argument("--noise", type=float, default=spec.noise_level, help="additive noise level")
-    p.add_argument("--seed", type=int, default=spec.base_seed)
+    p.add_argument("--seed", type=_nonnegative_int, default=spec.base_seed)
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_solve)
 
@@ -265,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                "(check_id,input,expected,actual,tolerance,pass); exit 0 iff all pass")
     p.add_argument("suite", choices=list(SUITES))
     p.add_argument("--quick", action="store_true", help="reduced sampling budgets")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_verify)
     return parser

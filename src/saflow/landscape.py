@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .calculus import check_beta, dir_second_derivative, gradient, phi
+from .calculus import check_beta, phi, psi_u
 from .measurement import REAL, gen_sensing, gen_signal, observe, rng_for
 from .reporting import CheckResult
 
@@ -30,6 +29,17 @@ _MC_BATCH = 2_000_000
 # 16 MB batch arrays through memory.  At least 128 (numpy's pairwise
 # block), so every piece is a leaf of numpy's summation tree.
 _MC_LEAF = 65_536
+
+
+def quad(func, a, b, **opts):
+    """scipy.integrate.quad(func, a, b, **opts), with scipy imported on first use.
+
+    Only the quadratures need scipy, and loading it is most of the time and
+    memory an import of saflow would take, so solve, sweep and bench never
+    load it.
+    """
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(func, a, b, **opts)
 
 
 @dataclass(frozen=True)
@@ -146,26 +156,32 @@ def _mc_estimates(stats, samples: int, seed: int, stream: int) -> list[MCEstimat
         sums = np.empty((2, len(stats)))
         v_ab = v[a:b]
         av = np.abs(v_ab)
+        # |U| <= inf |V| fails only where V == 0, so without such a draw the
+        # lam = inf mask is all true and gv * 1.0 == gv: it is not built
+        v_nonzero = av.min() > 0
         for sigma, by_g in groups.items():
             tau = math.sqrt(max(1.0 - sigma * sigma, 0.0))
-            u = sigma * v_ab + tau * w[a:b]
+            u = sigma * v_ab
+            u += tau * w[a:b]
             au = np.abs(u)
             masks = {}
             for lam, h in {stats[i][2:] for idx in by_g.values() for i in idx}:
-                if h is None:
+                if h is not None:
+                    masks[lam, h] = np.subtract(au <= (lam + h) * av, au <= (lam - h) * av,
+                                                dtype=float)
+                elif lam != math.inf or not v_nonzero:
                     masks[lam, h] = au <= lam * av
-                else:
-                    masks[lam, h] = (au <= (lam + h) * av, au <= (lam - h) * av)
             for g, idx in by_g.items():
                 gv = np.asarray(g(u, v_ab), dtype=float)
                 for i in idx:
                     _, _, lam, h = stats[i]
-                    if h is None:
-                        vals = gv * masks[lam, h]
-                    else:
-                        hi, lo = masks[lam, h]
-                        vals = np.subtract(hi, lo, dtype=float)
-                        np.multiply(gv, vals, out=vals)
+                    mask = masks.get((lam, h))
+                    if mask is None:
+                        sums[0, i] = gv.sum()
+                        sums[1, i] = (gv * gv).sum()
+                        continue
+                    vals = gv * mask
+                    if h is not None:
                         np.divide(vals, 2.0 * h, out=vals)
                     sums[0, i] = vals.sum()
                     np.multiply(vals, vals, out=vals)
@@ -624,6 +640,8 @@ def landscape_scan(
     A = gen_sensing(m, n, REAL, seed)
     obs = observe(A, x)
     y = obs.y
+    ax = A @ x
+    y_safe = np.where(y > 0, y, 1.0)
     rng = rng_for(seed, 6)
     points = []
     for nz in norm_grid:
@@ -636,13 +654,25 @@ def landscape_scan(
                 w -= (w @ x) * x
                 w /= np.linalg.norm(w)
                 z = nz * (sigma * x + tau * w)
-                g = gradient(z, A, obs, beta)
+                # gradient, dir_second_derivative along x and
+                # direction_curvatures with their expressions in their order,
+                # so their bits, sharing A @ z, the ratio t and phi(t)
+                wz = A @ z
+                t = np.where(y > 0, wz / y_safe, np.inf)
+                weights = phi(t, beta)
+                g = (A.T @ psi_u(wz, y, beta)) / m
                 radials.append(float(g @ z) / (nz * nz))
                 aligns.append(float(g @ x))
-                curvs.append(dir_second_derivative(z, x, A, obs, beta))
+                terms = weights * ax * ax
+                on_boundary = (np.abs(wz) == beta * y) & (y > 0)
+                if np.any(on_boundary):
+                    q = np.where(wz * ax > 0, 1.0, 2.0 - 1.0 / beta)
+                    terms = terms + np.where(on_boundary, (q - 1.0) * ax * ax, 0.0)
+                curvs.append(float(np.mean(terms)))
                 dirs = rng.standard_normal((directions, n))
                 dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-                min_dir = min(min_dir, float(direction_curvatures(A, y, z, dirs, beta).min()))
+                wv = A @ dirs.T
+                min_dir = min(min_dir, float((weights[:, None] * wv * wv).mean(axis=0).min()))
             points.append(ScanPoint(
                 norm_z=float(nz),
                 sigma=float(sigma),

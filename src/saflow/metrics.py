@@ -13,7 +13,6 @@ spec, so each solve sees the same A, y, start and seed as a solve of its own.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -173,6 +172,7 @@ def _map_trials(trials: list[Trial], threads: int) -> list[list[dict]]:
     """_run_trial over the trials, gathered in trial order."""
     if threads <= 1:
         return [_run_trial(t) for t in trials]
+    from concurrent.futures import ProcessPoolExecutor  # not loaded by serial runs
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(_run_trial, trials, chunksize=4))
 

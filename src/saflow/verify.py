@@ -13,7 +13,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import landscape as ls
 from .calculus import dir_second_derivative, gradient, loss, psi_u
@@ -45,9 +44,8 @@ def g_signed_tsq(t, s):
 
 
 def g_signed_abs_ts(t, s):
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    return np.sign(t * s) * np.abs(t * s)
+    ts = np.asarray(t, dtype=float) * np.asarray(s, dtype=float)
+    return np.sign(ts) * np.abs(ts)
 
 
 NAMED_G = {
@@ -235,7 +233,7 @@ def suite_expectations(quick: bool = False, seed: int = 0) -> list[CheckResult]:
             g, meta = NAMED_G[name]
             rate = lambda t, m=meta: 0.0 if t <= 0 else ls.power_rate_closed_form(
                 m["p"], m["q"], sigma, t, signed=m["signed"])
-            integrated, _ = quad(rate, 0.0, lam, **ls.QUAD_OPTS)
+            integrated, _ = ls.quad(rate, 0.0, lam, **ls.QUAD_OPTS)
             mc_row(f"integrated_rate_vs_mc_{name}", f"sigma={sigma} lam={lam}",
                    repr(integrated), ls.MC_EXPECTATION_STREAM, (g, sigma, lam, None),
                    within(integrated, 1e-9))
@@ -397,8 +395,8 @@ def suite_appendix(quick: bool = False, seed: int = 0) -> list[CheckResult]:
 
     # weighted kernel integral at full misalignment
     target = (4.0 / math.pi) * (35.0 / 27.0 - math.log(3.0))
-    val, _ = quad(lambda t: (1 + 2 * t ** 3 - 2.5 * t) * ls.scaled_rate_kernel(t, 1.0),
-                  0.0, 0.5, **ls.QUAD_OPTS)
+    val, _ = ls.quad(lambda t: (1 + 2 * t ** 3 - 2.5 * t) * ls.scaled_rate_kernel(t, 1.0),
+                     0.0, 0.5, **ls.QUAD_OPTS)
     rows.append(CheckResult("weighted_kernel_integral", "beta=1/2 sigma=1",
                             repr(target), repr(val), "1e-6",
                             abs(val - target) <= 1e-6))

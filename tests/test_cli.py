@@ -189,6 +189,17 @@ def test_solve_rejects_bad_solver_settings(tmp_path, capsys, flag, value, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "4", "--m", "8", "--seed", "-1"],
+    ["verify", "calculus", "--quick", "--seed", "-1"],
+])
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_nan_step_in_config(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text('{"mode": "success", "n": 8, "m_over_n": [6], "trials": 1, "mu": NaN}')

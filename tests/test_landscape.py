@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import saflow.landscape as ls
-from saflow.calculus import dir_second_derivative
+from saflow.calculus import dir_second_derivative, gradient
 from saflow.measurement import REAL, gen_sensing, gen_signal, observe, rng_for
 
 
@@ -117,6 +117,38 @@ def test_mc_engine_one_pass_is_bitwise_one_at_a_time():
     alone = ls.mc_indicator_rate_fd(g, sigma, lam, h=h, samples=samples, seed=3)
     assert (alone.mean, alone.std_error) == _loop_estimate(
         g, sigma, lam, h, samples, 3, ls.MC_RATE_STREAM)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0
+def test_mc_engine_masks_lam_inf_where_v_is_zero(monkeypatch):
+    # |U| <= inf |V| fails where V == 0; the engine skips that mask only on a
+    # leaf without such a draw, so zeroed draws must still be dropped
+    real_rng_for = rng_for
+
+    def zeroed_rng_for(*key):
+        rng = real_rng_for(*key)
+
+        class Draws:
+            calls = 0
+
+            def standard_normal(self, k):
+                draws = rng.standard_normal(k)
+                if self.calls % 2 == 0:  # v, not w, so U is nonzero there
+                    draws[::100_003] = 0.0  # leaves with and without a zero
+                self.calls += 1
+                return draws
+        return Draws()
+
+    g_tsq = lambda t, s: t * t  # nonzero at V == 0, so a dropped mask shows
+    g_abs = lambda t, s: np.abs(t * s)
+    stats = [(g_tsq, 0.5, np.inf, None), (g_abs, 0.0, np.inf, None),
+             (g_tsq, 0.5, 1.0, None), (g_tsq, 0.5, 0.5, 0.02)]
+    samples = 400_000
+    monkeypatch.setattr(ls, "rng_for", zeroed_rng_for)
+    together = ls._mc_estimates(stats, samples, seed=5, stream=9)
+    monkeypatch.setitem(globals(), "rng_for", zeroed_rng_for)
+    for stat, est in zip(stats, together):
+        assert (est.mean, est.std_error) == _loop_estimate(*stat, samples, 5, 9)
 
 
 @pytest.mark.parametrize("leaf", [128, ls._MC_LEAF])
@@ -327,6 +359,48 @@ def test_direction_curvatures_matches_reference():
     for k in range(5):
         assert batch[k] == pytest.approx(
             dir_second_derivative(z, dirs[k], A, obs, 0.5), rel=1e-12)
+
+
+def _reference_scan(n, m, beta, norm_grid, sigma_grid, w_samples, directions, seed):
+    """landscape_scan with each probe computed by the public gradient,
+    dir_second_derivative and direction_curvatures, each forming its own A @ z."""
+    x = gen_signal(n, REAL, seed)
+    x /= np.linalg.norm(x)
+    A = gen_sensing(m, n, REAL, seed)
+    obs = observe(A, x)
+    rng = rng_for(seed, 6)
+    points = []
+    for nz in norm_grid:
+        for sigma in sigma_grid:
+            tau = math.sqrt(max(1.0 - sigma * sigma, 0.0))
+            radials, aligns, curvs = [], [], []
+            min_dir = math.inf
+            for _ in range(w_samples):
+                w = rng.standard_normal(n)
+                w -= (w @ x) * x
+                w /= np.linalg.norm(w)
+                z = nz * (sigma * x + tau * w)
+                g = gradient(z, A, obs, beta)
+                radials.append(float(g @ z) / (nz * nz))
+                aligns.append(float(g @ x))
+                curvs.append(dir_second_derivative(z, x, A, obs, beta))
+                dirs = rng.standard_normal((directions, n))
+                dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+                min_dir = min(min_dir, float(ls.direction_curvatures(A, obs.y, z, dirs, beta).min()))
+            points.append(ls.ScanPoint(
+                norm_z=float(nz), sigma=float(sigma),
+                dist_to_x=math.sqrt(max(nz * nz + 1.0 - 2.0 * nz * sigma, 0.0)),
+                radial_grad=float(np.mean(radials)), radial_grad_min=float(np.min(radials)),
+                align_grad=float(np.mean(aligns)),
+                curv_x=float(np.mean(curvs)), curv_x_max=float(np.max(curvs)),
+                min_dir_curv=float(min_dir)))
+    return points
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_landscape_scan_probe_is_bitwise_the_public_functions(seed):
+    args = (32, 192, 0.5, (0.2, 0.65, 1.0), (0.0, 0.9995), 3, 8)
+    assert ls.landscape_scan(*args, seed=seed) == _reference_scan(*args, seed)
 
 
 def test_landscape_scan_smoke():
