@@ -21,7 +21,6 @@ from .calculus import check_beta, phi, psi_u
 from .measurement import REAL, gen_sensing, gen_signal, observe, rng_for
 from .reporting import CheckResult
 
-QUAD_OPTS = dict(epsabs=1e-10, epsrel=1e-10, limit=200)
 MC_DEFAULT_SAMPLES = 10_000_000
 _MC_BATCH = 2_000_000
 # Most draws a Monte Carlo piece scores at once: 512 KiB per float array, so
@@ -31,15 +30,15 @@ _MC_BATCH = 2_000_000
 _MC_LEAF = 65_536
 
 
-def quad(func, a, b, **opts):
-    """scipy.integrate.quad(func, a, b, **opts), with scipy imported on first use.
+def quad(func, a: float, b: float) -> tuple[float, float]:
+    """saflow.quadpack.quad(func, a, b), with that module loaded on first use.
 
-    Only the quadratures need scipy, and loading it is most of the time and
-    memory an import of saflow would take, so solve, sweep and bench never
-    load it.
+    The integral of func over [a, b], b <= inf, and its error estimate.
+    solve, sweep and bench integrate nothing, so they never load (and, with
+    no bytecode cache, never compile) the QUADPACK port.
     """
-    from scipy.integrate import quad as scipy_quad
-    return scipy_quad(func, a, b, **opts)
+    from .quadpack import quad as quadpack_quad
+    return quadpack_quad(func, a, b)
 
 
 @dataclass(frozen=True)
@@ -53,8 +52,8 @@ class LandscapeCoords:
     def __post_init__(self):
         if not 0.0 <= self.sigma <= 1.0:
             raise ValueError("sigma must lie in [0, 1]")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam!r}")
         check_beta(self.beta)
 
     @property
@@ -147,6 +146,10 @@ def _mc_estimates(stats, samples: int, seed: int, stream: int) -> list[MCEstimat
         raise ValueError("samples must be >= 1")
     groups: dict[float, dict] = {}
     for i, (g, sigma, lam, h) in enumerate(stats):
+        if not 0.0 <= sigma <= 1.0:
+            raise ValueError(f"sigma must lie in [0, 1], got {sigma!r}")
+        if not lam > 0.0:  # lam = inf is the unrestricted expectation
+            raise ValueError(f"lam must be positive, got {lam!r}")
         if h is not None and not 0 < h < lam:
             raise ValueError("need 0 < h < lam")
         groups.setdefault(sigma, {}).setdefault(g, []).append(i)
@@ -251,7 +254,7 @@ def indicator_expectation_rate(g, sigma: float, lam: float) -> float:
         minus = (g(lam * v, v) + g(-lam * v, -v)) * v * math.exp(-0.5 * mu_m_sq * v * v)
         return plus + minus
 
-    val, _ = quad(integrand, 0.0, np.inf, **QUAD_OPTS)
+    val, _ = quad(integrand, 0.0, np.inf)
     return val / (2.0 * math.pi * tau)
 
 
@@ -311,7 +314,7 @@ def alignment_prefactor(sigma: float) -> float:
         denom = (1.0 + t * t) ** 2 - 4.0 * t * t * s2
         return t * (1.0 - t) ** 2 * (1.0 + t * t) / (denom * denom)
 
-    val, _ = quad(integrand, 0.0, 1.0, **QUAD_OPTS)
+    val, _ = quad(integrand, 0.0, 1.0)
     return -(16.0 / math.pi) * val
 
 
@@ -338,7 +341,7 @@ def expected_alignment_gradient(sigma: float, beta: float = 0.5) -> float:
         weight = 1.0 + t ** 3 / (2.0 * beta * beta) - (0.5 + 1.0 / beta) * t
         return weight * signed_rate_kernel(t, sigma)
 
-    val, _ = quad(integrand, 0.0, beta, **QUAD_OPTS)
+    val, _ = quad(integrand, 0.0, beta)
     return lead + val
 
 
@@ -351,8 +354,8 @@ def orthogonal_curvature(lam: float, beta: float = 0.5) -> float:
     Decreasing in lam; its lam -> infinity (z -> 0) limit is 1/2 - 1/beta.
     """
     check_beta(beta)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam!r}")
     at = math.atan(lam)
     frac = lam / (1.0 + lam * lam)
     return (1.0 + (3.0 / (math.pi * lam * lam)) * (at - frac)
@@ -400,7 +403,7 @@ def rational_integral(t: float) -> float:
         base = 1.0 + s * s
         return 1.0 / (base * (base - t) ** 2)
 
-    val, _ = quad(integrand, 0.0, np.inf, **QUAD_OPTS)
+    val, _ = quad(integrand, 0.0, np.inf)
     return val
 
 
@@ -635,6 +638,9 @@ def landscape_scan(
     diagnostics are the stable quantities to test.
     """
     check_beta(beta)
+    for name, count in (("w_samples", w_samples), ("directions", directions)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count!r}")
     x = gen_signal(n, REAL, seed)
     x /= np.linalg.norm(x)
     A = gen_sensing(m, n, REAL, seed)

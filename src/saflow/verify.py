@@ -233,7 +233,7 @@ def suite_expectations(quick: bool = False, seed: int = 0) -> list[CheckResult]:
             g, meta = NAMED_G[name]
             rate = lambda t, m=meta: 0.0 if t <= 0 else ls.power_rate_closed_form(
                 m["p"], m["q"], sigma, t, signed=m["signed"])
-            integrated, _ = ls.quad(rate, 0.0, lam, **ls.QUAD_OPTS)
+            integrated, _ = ls.quad(rate, 0.0, lam)
             mc_row(f"integrated_rate_vs_mc_{name}", f"sigma={sigma} lam={lam}",
                    repr(integrated), ls.MC_EXPECTATION_STREAM, (g, sigma, lam, None),
                    within(integrated, 1e-9))
@@ -396,7 +396,7 @@ def suite_appendix(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     # weighted kernel integral at full misalignment
     target = (4.0 / math.pi) * (35.0 / 27.0 - math.log(3.0))
     val, _ = ls.quad(lambda t: (1 + 2 * t ** 3 - 2.5 * t) * ls.scaled_rate_kernel(t, 1.0),
-                     0.0, 0.5, **ls.QUAD_OPTS)
+                     0.0, 0.5)
     rows.append(CheckResult("weighted_kernel_integral", "beta=1/2 sigma=1",
                             repr(target), repr(val), "1e-6",
                             abs(val - target) <= 1e-6))

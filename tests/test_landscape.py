@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 import saflow.landscape as ls
 from saflow.calculus import dir_second_derivative, gradient
@@ -22,6 +21,17 @@ def test_coords_mu_sq():
         ls.LandscapeCoords(sigma=1.0, lam=1.0).mu_sq()
     with pytest.raises(ValueError):
         ls.LandscapeCoords(sigma=0.5, lam=0.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_landscape_functions_reject_a_bad_lam(lam):
+    g_tsq = lambda t, s: t * t
+    for call in (lambda: ls.LandscapeCoords(sigma=0.5, lam=lam),
+                 lambda: ls.indicator_expectation_rate(g_tsq, 0.5, lam),
+                 lambda: ls.power_rate_closed_form(2, 0, 0.5, lam),
+                 lambda: ls.orthogonal_curvature(lam, 0.5)):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            call()
 
 
 def test_expected_abs_uv_values():
@@ -202,6 +212,26 @@ def test_mc_estimators_reject_bad_budget_and_width():
         ls._mc_estimates([(g, 0.5, 1.0, None), (g, 0.5, 0.5, 0.5)], 10, 0, 4)
 
 
+def test_mc_estimators_reject_bad_sigma_and_lam():
+    g = lambda t, s: t * t
+    for sigma in (-0.1, 1.5, 2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma must lie in"):
+            ls.mc_indicator_expectation(g, sigma, 1.0, samples=10)
+        with pytest.raises(ValueError, match="sigma must lie in"):
+            ls.mc_indicator_rate_fd(g, sigma, 1.0, samples=10)
+    for lam in (math.nan, 0.0, -1.0, -math.inf):
+        with pytest.raises(ValueError, match="lam must be positive"):
+            ls.mc_indicator_expectation(g, 0.5, lam, samples=10)
+        with pytest.raises(ValueError, match="lam must be positive"):
+            ls.mc_indicator_rate_fd(g, 0.5, lam, samples=10)
+    # one bad statistic rejects the whole pass, before any draw
+    with pytest.raises(ValueError, match="sigma"):
+        ls._mc_estimates([(g, 0.5, 1.0, None), (g, math.nan, 1.0, None)], 10, 0, 4)
+    # lam = inf is the unrestricted expectation, and sigma may sit at either end
+    for sigma in (0.0, 1.0):
+        assert ls.mc_indicator_expectation(g, sigma, math.inf, samples=10).samples == 10
+
+
 def test_rate_closed_forms():
     # quadratic families: rate = 2 lam^p/(pi tau) (mu_-^{-4} +- mu_+^{-4})
     for sigma, lam in ((0.25, 0.5), (0.5, 1.0), (0.0, 0.25)):
@@ -287,6 +317,7 @@ def test_expected_alignment_gradient():
 
 
 def test_weighted_kernel_integral_frozen_value():
+    quad = pytest.importorskip("scipy.integrate").quad  # an independent quadrature
     target = (4 / math.pi) * (35 / 27 - math.log(3))
     val, _ = quad(lambda t: (1 + 2 * t**3 - 2.5 * t) * ls.scaled_rate_kernel(t, 1.0),
                   0, 0.5, epsabs=1e-12)
@@ -416,6 +447,14 @@ def test_landscape_scan_smoke():
     near = [p for p in pts if p.norm_z == 1.0 and p.sigma == 0.9995]
     assert near[0].dist_to_x == pytest.approx(math.sqrt(2 - 2 * 0.9995), rel=1e-9)
     assert near[0].min_dir_curv <= near[0].curv_x_max + 5  # sanity: fields populated
+
+
+@pytest.mark.parametrize("field", ["w_samples", "directions"])
+@pytest.mark.parametrize("count", [0, -1])
+def test_landscape_scan_rejects_an_empty_scan(field, count):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        ls.landscape_scan(12, 60, 0.5, norm_grid=(0.5,), sigma_grid=(0.5,),
+                          **{"w_samples": 1, "directions": 2, field: count})
 
 
 def test_scan_csv(tmp_path):

@@ -34,9 +34,18 @@ def test_declared_dependencies_are_the_imported_ones():
     assert _third_party_imports() == names
 
 
+def _run_fresh(script: str) -> dict:
+    """Run script in a fresh interpreter that imports saflow from src/; its last JSON line."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_solve_sweep_and_bench_load_neither_scipy_nor_a_process_pool(tmp_path):
-    # scipy is imported on the first quadrature and the pool's module only
-    # for --threads > 1, so a fresh interpreter that runs these has neither
+    # the pool's module is imported only for --threads > 1, so a fresh
+    # interpreter that runs these has neither
     sweep = tmp_path / "sweep.json"
     sweep.write_text(json.dumps({"mode": "success", "n": 8, "m_over_n": [6], "trials": 1}))
     bench = tmp_path / "bench.json"
@@ -54,9 +63,28 @@ loaded = [m for m in sys.modules
           if m == "scipy" or m.startswith("scipy.") or m == "concurrent.futures.process"]
 print(json.dumps({{"codes": codes, "loaded": sorted(loaded)}}))
 """
-    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [0, 0, 0], "loaded": []}
+    assert _run_fresh(script) == {"codes": [0, 0, 0], "loaded": []}
+
+
+def test_import_saflow_leaves_the_quadrature_unloaded():
+    # without a bytecode cache, loading the QUADPACK port means compiling it,
+    # which the set-up of solve, sweep and bench should not pay
+    script = """
+import json, sys
+import saflow, saflow.cli
+print(json.dumps(sorted(m for m in sys.modules if m == "saflow.quadpack")))
+"""
+    assert _run_fresh(script) == []
+
+
+def test_verify_loads_no_scipy(tmp_path):
+    # the quadratures are saflow's own (landscape.quad), so verify, which
+    # runs all 162 of them, needs no scipy
+    script = f"""
+import json, sys
+import saflow.cli
+code = saflow.cli.main(["verify", "all", "--quick", "--out", {str(tmp_path / "verify")!r}])
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+print(json.dumps({{"code": code, "loaded": sorted(loaded)}}))
+"""
+    assert _run_fresh(script) == {"code": 0, "loaded": []}
