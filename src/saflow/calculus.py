@@ -27,7 +27,7 @@ import warnings
 
 import numpy as np
 
-from .measurement import magnitudes
+from .measurement import magnitudes, pair
 
 DEFAULT_BETA = 0.5
 
@@ -122,25 +122,32 @@ def _check_dims(z, A, y):
         raise ValueError(f"dimension mismatch: A is {A.shape}, y has length {y.shape[0]}")
 
 
+def _products(z, A, y):
+    """The body loss, gradient and loss_and_gradient share: the magnitudes y,
+    checked against A and z, the products w = <a_i, z> (one forward matvec)
+    and psi's first argument u, which is w on real data and |w| on complex."""
+    y = magnitudes(y)
+    _check_dims(z, A, y)
+    w = pair(A, z)
+    return y, w, (np.abs(w) if np.iscomplexobj(w) else w)
+
+
+def _gradient(A, y, w, u, beta):
+    """mean_i psi_u(u_i, y_i) a_i, times the phase w_i/|w_i| (0 where w_i = 0) on complex data."""
+    c = psi_u(u, y, beta)
+    if np.iscomplexobj(w):
+        c = c * np.where(u > 0, w / np.where(u > 0, u, 1.0), 0.0)
+    return (A.T @ c) / y.shape[0]
+
+
 def loss(z: np.ndarray, A: np.ndarray, y, beta: float = DEFAULT_BETA) -> float:
     """Mean smoothed-amplitude loss F(z) over all measurements.
 
     Real z uses the signed products <a_i, z>; complex z uses their moduli
     (psi is even in u, so the two agree on real data).
     """
-    y = magnitudes(y)
-    _check_dims(z, A, y)
-    w = A.conj() @ z
-    u = np.abs(w) if np.iscomplexobj(w) else w
+    y, _, u = _products(z, A, y)
     return float(np.mean(psi(u, y, beta)))
-
-
-def _grad_coeffs(w: np.ndarray, y: np.ndarray, beta: float) -> np.ndarray:
-    if np.iscomplexobj(w):
-        aw = np.abs(w)
-        ph = np.where(aw > 0, w / np.where(aw > 0, aw, 1.0), 0.0)
-        return psi_u(aw, y, beta) * ph
-    return psi_u(w, y, beta)
 
 
 def gradient(z: np.ndarray, A: np.ndarray, y, beta: float = DEFAULT_BETA) -> np.ndarray:
@@ -151,21 +158,13 @@ def gradient(z: np.ndarray, A: np.ndarray, y, beta: float = DEFAULT_BETA) -> np.
     contribution where <a_i, z> = 0; it reduces to the real formula when
     imaginary parts vanish.
     """
-    y = magnitudes(y)
-    _check_dims(z, A, y)
-    w = A.conj() @ z
-    return (A.T @ _grad_coeffs(w, y, beta)) / y.shape[0]
+    return _gradient(A, *_products(z, A, y), beta)
 
 
 def loss_and_gradient(z, A, y, beta: float = DEFAULT_BETA):
-    """Loss and gradient sharing one matvec (used by the solver loop)."""
-    y = magnitudes(y)
-    _check_dims(z, A, y)
-    w = A.conj() @ z
-    u = np.abs(w) if np.iscomplexobj(w) else w
-    f = float(np.mean(psi(u, y, beta)))
-    g = (A.T @ _grad_coeffs(w, y, beta)) / y.shape[0]
-    return f, g
+    """Loss and gradient sharing one forward matvec (used by the solver loop)."""
+    y, w, u = _products(z, A, y)
+    return float(np.mean(psi(u, y, beta))), _gradient(A, y, w, u, beta)
 
 
 def dir_second_derivative(

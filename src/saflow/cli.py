@@ -29,7 +29,6 @@ from .distances import dist, success
 from .measurement import add_noise, gen_sensing, gen_signal, observe
 from .metrics import (
     ExperimentSpec,
-    parse_algorithm,
     run_beta_sweep,
     run_iteration_table,
     run_success_sweep,
@@ -38,7 +37,9 @@ from .metrics import (
     write_success_csv,
 )
 from .reporting import all_passed, write_report_csv
-from .solvers import DivergedError, GdConfig, InitStrategy, solve as run_solver
+from .solvers import (
+    ALGORITHMS, DivergedError, GdConfig, InitStrategy, parse_algorithm, solve as run_solver,
+)
 from .verify import SUITES, run_suite
 
 # The keys each config accepts, with their JSON types: int (never a bool or a
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power-iters", type=_positive_int, default=spec.power_iters,
                    dest="power_iters")
     p.add_argument("--algorithm", default="saf",
-                   help="saf | wf | twf | taf (optionally with -random/-spectral)")
+                   help=f"{' | '.join(ALGORITHMS)} (optionally with -random/-spectral)")
     p.add_argument("--noise", type=float, default=spec.noise_level, help="additive noise level")
     p.add_argument("--seed", type=_nonnegative_int, default=spec.base_seed)
     p.add_argument("--out", default=".", help="output directory")

@@ -8,8 +8,10 @@ Complex instances use complex128; signals have N(0,1) real and imaginary
 parts (per-entry second moment 2), sensing rows have N(0, 1/2) parts
 (per-entry second moment 1), so that E|<a, x>|^2 = ||x||^2 in both fields.
 
-The measurement pairing is ``<a, z> = conj(a) . z``, computed for a full
-instance as ``A.conj() @ z`` (a plain matvec in the real case).
+The measurement pairing is ``<a, z> = conj(a) . z``.  `pair` computes it
+for every row of A as ``conj(A @ conj(z))``, which conjugates only the
+n-vector and the m-vector: real arrays are their own conjugates, so on real
+data it is the plain matvec ``A @ z``, and no copy of A is ever made.
 
 Seeding: a single 64-bit base seed is split into independent streams with
 numpy's SeedSequence, ``stream_seed = SeedSequence(base_seed, spawn_key)``.
@@ -63,7 +65,7 @@ class Observations:
     noise_level: float = 0.0
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
+        y = checked_magnitudes(self.y)
         object.__setattr__(self, "y", y)
         if self.noise_level < 0:
             raise ValueError("noise_level must be nonnegative")
@@ -76,8 +78,26 @@ class Observations:
 
 
 def magnitudes(y) -> np.ndarray:
-    """Accept either an Observations or a bare array of magnitudes."""
+    """Accept either an Observations or a bare array of magnitudes.
+
+    Unchecked, as the loss calls it on every iterate; an Observations, each
+    solve and each spectral initialization use `checked_magnitudes` once.
+    """
     return y.y if isinstance(y, Observations) else np.asarray(y, dtype=float)
+
+
+def checked_magnitudes(y) -> np.ndarray:
+    """magnitudes(y), raising ValueError at the first non-finite one."""
+    y = magnitudes(y)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValueError(f"magnitudes must be finite, got y[{bad[0]}] = {y[bad[0]]}")
+    return y
+
+
+def pair(A: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The products <a_i, z> = conj(a_i) . z of every row a_i of A."""
+    return (A @ z.conj()).conj()
 
 
 def gen_signal(n: int, field: str = REAL, seed: int = 0) -> np.ndarray:
@@ -109,7 +129,7 @@ def observe(A: np.ndarray, x: np.ndarray) -> Observations:
     """Noiseless magnitudes y_i = |<a_i, x>|."""
     if A.shape[1] != x.shape[0]:
         raise ValueError(f"dimension mismatch: A is {A.shape}, x has length {x.shape[0]}")
-    return Observations(y=np.abs(A.conj() @ x), noise_level=0.0)
+    return Observations(y=np.abs(pair(A, x)), noise_level=0.0)
 
 
 def add_noise(obs: Observations, level: float, seed: int = 0) -> Observations:

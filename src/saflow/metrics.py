@@ -22,24 +22,7 @@ from .distances import SUCCESS_THRESHOLD, dist, success
 from .measurement import (
     REAL, add_noise, check_field, gen_sensing, gen_signal, magnitudes, observe, trial_seed,
 )
-from .solvers import DivergedError, GdConfig, InitStrategy, SolveTrace, make_init, solve
-
-ALGORITHMS = ("saf", "wf", "twf", "taf")
-
-
-def parse_algorithm(name: str) -> tuple[str, str]:
-    """Split an algorithm label into (solver, init).
-
-    'saf-random', 'saf-spectral', 'wf', 'twf-spectral', ... Baselines
-    default to spectral initialization, the smoothed solver to random.
-    """
-    base, _, init = name.partition("-")
-    if not init and base in ALGORITHMS:
-        init = "random" if base == "saf" else "spectral"
-    if base not in ALGORITHMS or init not in ("random", "spectral"):
-        raise ValueError(f"unknown algorithm {name!r}; algorithms are saf, wf, twf and taf, "
-                         f"each with an optional -random or -spectral")
-    return base, init
+from .solvers import DivergedError, GdConfig, InitStrategy, make_init, parse_algorithm, solve
 
 
 @dataclass(frozen=True)

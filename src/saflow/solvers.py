@@ -1,5 +1,8 @@
 """Fixed-step gradient descent solvers: smoothed amplitude flow and baselines.
 
+Each algorithm is one entry of ALGORITHMS (its value and gradient, its step
+rule and its default init), and every solve runs `solve` on that entry.
+
 All solvers share the trace contract: a SolveTrace records one entry per
 visited iterate (including the initial guess), the final iterate, and the
 termination reason.  Stopping tests are evaluated at each iterate before
@@ -9,13 +12,14 @@ updating, so a start at the global minimizer terminates at iteration 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import constants as C
 from .calculus import DEFAULT_BETA, loss_and_gradient
 from .distances import dist
-from .measurement import REAL, check_field, field_of, magnitudes, rng_for
+from .measurement import REAL, check_field, checked_magnitudes, field_of, pair, rng_for
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,7 @@ def spectral_init(A: np.ndarray, y, power_iters: int = InitStrategy.power_iters,
     scaled to norm sqrt(mean y^2), which matches ||x|| in expectation under
     both field conventions.
     """
-    y = magnitudes(y)
+    y = checked_magnitudes(y)
     if power_iters < 1:
         raise ValueError("power_iters must be >= 1")
     if not np.any(y > 0):
@@ -127,7 +131,7 @@ def spectral_init(A: np.ndarray, y, power_iters: int = InitStrategy.power_iters,
     v = random_init(n, field_of(A), seed)
     v /= np.linalg.norm(v)
     for _ in range(power_iters):
-        v = A.T @ (y2 * (A.conj() @ v)) / m
+        v = A.T @ (y2 * pair(A, v)) / m
         v /= np.linalg.norm(v)
     return float(np.sqrt(np.mean(y2))) * v
 
@@ -173,108 +177,69 @@ def _descend(algorithm, A, y, z, config, truth, value_grad, step_of):
     return trace
 
 
-def gd_saf(
-    A: np.ndarray,
-    y,
-    config: GdConfig,
-    init: InitStrategy = InitStrategy(),
-    seed: int = 0,
-    truth: np.ndarray | None = None,
-    z0: np.ndarray | None = None,
-) -> SolveTrace:
-    """Fixed-step gradient descent z <- z - mu * grad F(z) on the smoothed loss.
-
-    An explicit z0 overrides the init strategy (useful for warm starts and
-    for probing specific basins).
-    """
-    y = magnitudes(y)
-    if z0 is None:
-        z0 = make_init(A, y, init, seed)
-    return _descend(
-        "saf", A, y, z0, config, truth,
-        lambda z: loss_and_gradient(z, A, y, config.beta),
-        lambda k: config.mu,
-    )
+def _wf(A, w, y, z):
+    r = np.abs(w) ** 2 - y * y
+    return float(np.mean(r * r) / 2.0), (A.T @ (r * w)) / y.shape[0]
 
 
-def _wf_value_grad(A, y, m):
-    y2 = y * y
-
-    def value_grad(z):
-        w = A.conj() @ z
-        r = np.abs(w) ** 2 - y2
-        f = float(np.mean(r * r) / 2.0)
-        g = (A.T @ (r * w)) / m
-        return f, g
-
-    return value_grad
+def _taf(A, w, y, z):
+    aw = np.abs(w)
+    keep = aw >= y / (1.0 + C.TAF_GAMMA)
+    f = float(np.mean((aw - y) ** 2) / 2.0)
+    ph = np.where(aw > 0, w / np.where(aw > 0, aw, 1.0), 0.0)
+    return f, (A.T @ np.where(keep, w - y * ph, 0.0)) / y.shape[0]
 
 
-def _taf_value_grad(A, y, m):
-    thresh = y / (1.0 + C.TAF_GAMMA)
-
-    def value_grad(z):
-        w = A.conj() @ z
-        aw = np.abs(w)
-        keep = aw >= thresh
-        f = float(np.mean((aw - y) ** 2) / 2.0)
-        ph = np.where(aw > 0, w / np.where(aw > 0, aw, 1.0), 0.0)
-        g = (A.T @ np.where(keep, w - y * ph, 0.0)) / m
-        return f, g
-
-    return value_grad
+def _twf(A, w, y, z):
+    aw = np.abs(w)
+    r = aw * aw - y * y
+    f = float(np.mean(r * r) / 2.0)
+    nz = np.linalg.norm(z)
+    K = np.mean(np.abs(r))
+    keep = (aw >= C.TWF_ALPHA_LB * nz) & (aw <= C.TWF_ALPHA_UB * nz)
+    keep &= np.abs(r) <= C.TWF_ALPHA_H * K * aw / nz
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coeff = np.where(keep & (aw > 0), r * w / np.where(aw > 0, aw * aw, 1.0), 0.0)
+    return f, (2.0 / y.shape[0]) * (A.T @ coeff)
 
 
-def _twf_value_grad(A, y, m):
-    y2 = y * y
-
-    def value_grad(z):
-        w = A.conj() @ z
-        aw = np.abs(w)
-        r = aw * aw - y2
-        f = float(np.mean(r * r) / 2.0)
-        nz = np.linalg.norm(z)
-        K = np.mean(np.abs(r))
-        keep = (aw >= C.TWF_ALPHA_LB * nz) & (aw <= C.TWF_ALPHA_UB * nz)
-        keep &= np.abs(r) <= C.TWF_ALPHA_H * K * aw / nz
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coeff = np.where(keep & (aw > 0), r * w / np.where(aw > 0, aw * aw, 1.0), 0.0)
-        g = (2.0 / m) * (A.T @ coeff)
-        return f, g
-
-    return value_grad
+def _baseline(rule):
+    """The value-and-gradient builder of a comparison solver whose
+    rule(A, w, y, z) gives the loss and gradient at z from the products
+    w = <a_i, z>."""
+    return lambda A, y, config: lambda z: rule(A, pair(A, z), y, z)
 
 
-def baseline_solve(
-    kind: str,
-    A: np.ndarray,
-    y,
-    config: GdConfig,
-    init: InitStrategy = InitStrategy(kind="spectral"),
-    seed: int = 0,
-    truth: np.ndarray | None = None,
-    z0: np.ndarray | None = None,
-) -> SolveTrace:
-    """Run one of the comparison solvers: 'wf', 'twf', or 'taf'.
+def _wf_step(config, z0):
+    nz0sq = float(np.linalg.norm(z0) ** 2)
+    return lambda k: min(1.0 - np.exp(-(k + 1) / C.WF_K0), C.WF_MU_MAX) / nz0sq
 
-    Step sizes and truncation thresholds come from the versioned defaults in
-    saflow.constants; config supplies max_iter and the stopping tolerances.
-    """
-    y = magnitudes(y)
-    m = y.shape[0]
-    if z0 is None:
-        z0 = make_init(A, y, init, seed)
-    if kind == "wf":
-        nz0sq = float(np.linalg.norm(z0) ** 2)
-        step = lambda k: min(1.0 - np.exp(-(k + 1) / C.WF_K0), C.WF_MU_MAX) / nz0sq
-        return _descend("wf", A, y, z0, config, truth, _wf_value_grad(A, y, m), step)
-    if kind == "taf":
-        return _descend("taf", A, y, z0, config, truth, _taf_value_grad(A, y, m),
-                        lambda k: C.TAF_MU)
-    if kind == "twf":
-        return _descend("twf", A, y, z0, config, truth, _twf_value_grad(A, y, m),
-                        lambda k: C.TWF_MU)
-    raise ValueError(f"unknown baseline {kind!r}; expected 'wf', 'twf', or 'taf'")
+
+class Algorithm(NamedTuple):
+    value_grad: Callable  # (A, y, config) -> value_grad(z) -> (loss, gradient)
+    step: Callable  # (config, z0) -> step_of(k), the step size of update k
+    init: str  # the init kind of a label without one
+
+
+# SAF takes its step size from the config; the baselines take theirs and
+# their truncation thresholds from the versioned defaults in saflow.constants
+ALGORITHMS = {
+    "saf": Algorithm(lambda A, y, config: lambda z: loss_and_gradient(z, A, y, config.beta),
+                     lambda config, z0: lambda k: config.mu, "random"),
+    "wf": Algorithm(_baseline(_wf), _wf_step, "spectral"),
+    "twf": Algorithm(_baseline(_twf), lambda config, z0: lambda k: C.TWF_MU, "spectral"),
+    "taf": Algorithm(_baseline(_taf), lambda config, z0: lambda k: C.TAF_MU, "spectral"),
+}
+
+
+def parse_algorithm(label: str) -> tuple[str, str]:
+    """Split an algorithm label ('saf-random', 'wf', 'twf-spectral', ...) into
+    (algorithm, init kind); a bare name gets the algorithm's default init."""
+    name, _, init = label.partition("-")
+    if name in ALGORITHMS and init in ("", "random", "spectral"):
+        return name, init or ALGORITHMS[name].init
+    raise ValueError(f"unknown algorithm {label!r}; algorithms are {', '.join(ALGORITHMS)}, "
+                     f"each with an optional -random or -spectral")
 
 
 def solve(
@@ -282,16 +247,36 @@ def solve(
     A: np.ndarray,
     y,
     config: GdConfig,
-    init: InitStrategy,
+    init: InitStrategy | None = None,
     seed: int = 0,
     truth: np.ndarray | None = None,
     z0: np.ndarray | None = None,
 ) -> SolveTrace:
-    """Dispatch: 'saf' runs gd_saf, anything else is a named baseline.
+    """Run the ALGORITHMS entry `algorithm` from z0, or else from the start
+    of `init` (by default the algorithm's own init kind); no solver writes to z0.
 
-    An explicit z0 is used as the start in place of the init strategy, as in
-    gd_saf and baseline_solve; no solver writes to it.
+    config supplies max_iter and the stopping tolerances, and SAF's step
+    size and beta.
     """
-    if algorithm == "saf":
-        return gd_saf(A, y, config, init, seed, truth, z0)
-    return baseline_solve(algorithm, A, y, config, init, seed, truth, z0)
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; algorithms are {', '.join(ALGORITHMS)}")
+    entry = ALGORITHMS[algorithm]
+    y = checked_magnitudes(y)
+    if z0 is None:
+        z0 = make_init(A, y, init or InitStrategy(entry.init), seed)
+    return _descend(algorithm, A, y, z0, config, truth, entry.value_grad(A, y, config),
+                    entry.step(config, z0))
+
+
+def gd_saf(A: np.ndarray, y, config: GdConfig, init: InitStrategy | None = None,
+           seed: int = 0, truth: np.ndarray | None = None,
+           z0: np.ndarray | None = None) -> SolveTrace:
+    """Fixed-step gradient descent z <- z - mu * grad F(z) on the smoothed loss."""
+    return solve("saf", A, y, config, init, seed, truth, z0)
+
+
+def baseline_solve(kind: str, A: np.ndarray, y, config: GdConfig,
+                   init: InitStrategy | None = None, seed: int = 0,
+                   truth: np.ndarray | None = None, z0: np.ndarray | None = None) -> SolveTrace:
+    """Run one of the comparison solvers, 'wf', 'twf' or 'taf', by name."""
+    return solve(kind, A, y, config, init, seed, truth, z0)

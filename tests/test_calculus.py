@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -306,3 +307,18 @@ def test_psi_u_bounds_bulk():
     val2 = psi_u(u2, v, b)
     lip = np.maximum(1.0, 1.0 / b - 0.5)
     assert np.all(np.abs(val - val2) <= lip * np.abs(u - u2) + 1e-9)
+
+
+def test_complex_loss_and_gradient_copies_no_sensing_matrix():
+    # the pairing conjugates the n-vector, never the m x n matrix
+    x = gen_signal(128, COMPLEX, seed=2)
+    A = gen_sensing(1024, 128, COMPLEX, seed=2)
+    y = observe(A, x).y
+    z = gen_signal(128, COMPLEX, seed=3)
+    tracemalloc.start()
+    try:
+        loss_and_gradient(z, A, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < A.nbytes / 2

@@ -46,6 +46,14 @@ def test_solve_defaults_match_golden(tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN / f"solve_{name}").read_bytes()
 
 
+def test_complex_solve_matches_golden(tmp_path):
+    # written before the pairing conjugated the vector rather than the matrix
+    assert run_cli(["solve", "--field", "complex", "--n", "24", "--m", "144", "--seed", "5",
+                    "--out", str(tmp_path)]) == 0
+    for name in ("trace.csv", "summary.json"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / f"solve_complex_{name}").read_bytes()
+
+
 def test_solve_rejects_zero_m(tmp_path):
     code = run_cli(["solve", "--n", "16", "--m", "0", "--out", str(tmp_path)])
     assert code == 2
@@ -151,6 +159,24 @@ def test_sweep_two_algorithms_matches_golden(tmp_path):
     assert run_cli(["sweep", path, "--out", str(tmp_path)]) == 0
     got = (tmp_path / "success.csv").read_bytes()
     assert got == (GOLDEN / "sweep_two_algorithms.csv").read_bytes()
+
+
+def test_complex_sweep_four_algorithms_matches_golden(tmp_path):
+    cfg = {"mode": "success", "field": "complex", "n": 16, "m_over_n": [4, 8], "trials": 4,
+           "algorithms": ["saf-random", "wf", "twf", "taf-spectral"]}
+    path = _write_json(tmp_path / "cfg.json", cfg)
+    assert run_cli(["sweep", path, "--out", str(tmp_path)]) == 0
+    got = (tmp_path / "success.csv").read_bytes()
+    assert got == (GOLDEN / "sweep_complex.csv").read_bytes()
+
+
+def test_complex_bench_four_algorithms_matches_golden(tmp_path):
+    cfg = {"n": 16, "field": "complex", "m_over_n": 8, "trials": 3, "mu": 0.8,
+           "algorithms": ["saf-random", "wf", "twf", "taf"]}
+    path = _write_json(tmp_path / "cfg.json", cfg)
+    assert run_cli(["bench", path, "--out", str(tmp_path), "--no-timing"]) == 0
+    got = (tmp_path / "iterations.csv").read_bytes()
+    assert got == (GOLDEN / "bench_complex.csv").read_bytes()
 
 
 def test_sweep_beta_mode_matches_golden(tmp_path):

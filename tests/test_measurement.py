@@ -11,8 +11,13 @@ from saflow.measurement import (
     gen_signal,
     load_trial,
     observe,
+    pair,
     trial_seed,
 )
+
+# (m, n) of every golden file and acceptance criterion that draws an instance
+SHAPES = [(144, 24), (512, 64), (96, 32), (192, 32), (32, 16), (40, 16), (64, 16), (96, 16),
+          (128, 16), (384, 64), (128, 128), (640, 128), (768, 128), (1024, 128), (1600, 200)]
 
 
 def test_gen_signal_deterministic():
@@ -163,4 +168,37 @@ def test_load_trial_rejects_payload_length_mismatch(tmp_path, cut):
            "header_only": raw[:16], "short_header": raw[:10]}[cut]
     path.write_bytes(bad)
     with pytest.raises(ValueError, match=f"{len(bad)}"):
+        load_trial(path)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("m,n", SHAPES)
+def test_pair_is_the_conjugated_matvec_bit_for_bit(field, m, n):
+    A = gen_sensing(m, n, field, seed=m + n)
+    z = gen_signal(n, field, seed=m)
+    assert pair(A, z).tobytes() == (A.conj() @ z).tobytes()
+
+
+def test_pair_pairs_complex_rows_with_real_and_complex_vectors():
+    A = np.array([[1 + 2j, 3 - 1j], [0.5j, -2.0]])
+    for z in (np.array([2.0, -1.0]), np.array([1j, 1 - 1j])):
+        assert np.allclose(pair(A, z), [np.vdot(a, z) for a in A], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_observations_reject_a_non_finite_magnitude(bad):
+    with pytest.raises(ValueError, match=r"magnitudes must be finite, got y\[1\]"):
+        Observations(y=[1.0, bad, 2.0])
+    with pytest.raises(ValueError, match=r"y\[1\]"):
+        Observations(y=[1.0, bad, 2.0], noise_level=0.1)
+
+
+def test_load_trial_rejects_a_non_finite_magnitude(tmp_path):
+    x = gen_signal(4, REAL, seed=0)
+    A = gen_sensing(10, 4, REAL, seed=0)
+    y = observe(A, x).y.copy()
+    y[7] = np.nan
+    path = tmp_path / "trial.bin"
+    dump_trial(path, x, A, y)
+    with pytest.raises(ValueError, match=r"y\[7\] = nan"):
         load_trial(path)

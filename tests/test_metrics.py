@@ -13,7 +13,6 @@ from saflow.metrics import (
     ExperimentSpec,
     IterationRow,
     SuccessRow,
-    parse_algorithm,
     run_beta_sweep,
     run_convergence,
     run_iteration_table,
@@ -22,7 +21,7 @@ from saflow.metrics import (
     write_iteration_csv,
     write_success_csv,
 )
-from saflow.solvers import GdConfig, InitStrategy, make_init, solve
+from saflow.solvers import GdConfig, InitStrategy, make_init, parse_algorithm, solve
 
 FIVE = ("saf-random", "saf-spectral", "wf", "twf", "taf")
 

@@ -11,6 +11,7 @@ from saflow.solvers import (
     baseline_solve,
     gd_saf,
     random_init,
+    solve,
     spectral_init,
 )
 
@@ -224,3 +225,18 @@ def test_complex_solve_converges():
     trace = gd_saf(A, obs, config, InitStrategy("random"), seed=15, truth=x)
     assert trace.reason == "err_tol"
     assert dist(trace.final, x) / np.linalg.norm(x) <= 1e-5
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_solvers_reject_non_finite_bare_magnitudes(instance, bad):
+    x, A, obs = instance
+    y = obs.y.copy()
+    y[3] = bad
+    config = GdConfig(max_iter=5)
+    for run in (lambda: gd_saf(A, y, config, z0=x.copy()),
+                lambda: baseline_solve("taf", A, y, config, z0=x.copy()),
+                lambda: solve("wf", A, y, config),
+                lambda: spectral_init(A, y)):
+        with pytest.raises(ValueError, match=r"magnitudes must be finite, got y\[3\]"):
+            run()
+
