@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .calculus import (
     dir_second_derivative,
-    gamma,
     gradient,
     loss,
     phi,
@@ -35,17 +34,14 @@ from .measurement import (
     REAL,
     Observations,
     add_noise,
-    dump_trial,
     gen_sensing,
     gen_signal,
-    load_trial,
     observe,
     trial_seed,
 )
 from .metrics import (
     ExperimentSpec,
     run_beta_sweep,
-    run_convergence,
     run_iteration_table,
     run_success_sweep,
 )

@@ -47,16 +47,6 @@ def check_beta(beta):
     return beta
 
 
-def gamma(t, beta: float = DEFAULT_BETA):
-    """Smoothed absolute value: |t| outside [-beta, beta], quadratic inside."""
-    check_beta(beta)
-    t = np.asarray(t, dtype=float)
-    inner = np.abs(t) <= beta
-    with np.errstate(over="ignore"):  # quadratic only selected where |t| <= beta
-        quad = t * t / (2.0 * beta) + beta / 2.0
-    return np.where(inner, quad, np.abs(t))
-
-
 def psi(u, v, beta: float = DEFAULT_BETA):
     """Per-measurement loss (gamma(u/v) - 1)^2 v^2 / 2, with psi(u, 0) = u^2/2.
 
@@ -185,12 +175,24 @@ def dir_second_derivative(
         raise ValueError("direction v must be nonzero")
     check_beta(beta)
     wz = A @ z
-    wv = A @ v
+    return float(np.mean(_curvature_terms(_phi_weights(wz, y, beta), wz, A @ v, y, beta)))
+
+
+def _phi_weights(wz, y, beta):
+    """phi(<a_i,z>/y_i) from wz = A @ z, with an infinite ratio where y_i = 0."""
+    pos = y > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(y > 0, wz / np.where(y > 0, y, 1.0), np.inf)
-    terms = phi(t, beta) * wv * wv
+        t = np.where(pos, wz / np.where(pos, y, 1.0), np.inf)
+    return phi(t, beta)
+
+
+def _curvature_terms(weights, wz, wv, y, beta):
+    """The terms phi(<a_i,z>/y_i) <a_i,v>^2 + Gamma_i of dir_second_derivative,
+    from weights = _phi_weights(wz, y, beta) and wv = A @ v.  With wv = A @ V
+    and weights, wz and y as columns, column k holds the terms along V[:, k]."""
+    terms = weights * wv * wv
     on_boundary = (np.abs(wz) == beta * y) & (y > 0)  # y = 0 terms are u^2/2
-    if np.any(on_boundary):
+    if on_boundary.any():
         q = np.where(wz * wv > 0, 1.0, 2.0 - 1.0 / beta)
         terms = terms + np.where(on_boundary, (q - 1.0) * wv * wv, 0.0)
-    return float(np.mean(terms))
+    return terms

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import check_beta, phi, psi_u
+from .calculus import _curvature_terms, _gradient, _phi_weights, check_beta
 from .measurement import REAL, gen_sensing, gen_signal, observe, rng_for
 from .reporting import CheckResult
 
@@ -589,18 +589,10 @@ def inequality_report(grid_points: int = 1000) -> list[CheckResult]:
 
 
 def direction_curvatures(A, y, z, dirs, beta: float) -> np.ndarray:
-    """Second directional derivatives along a batch of directions (rows of dirs).
-
-    Matches dir_second_derivative off the measure-zero branch-boundary set,
-    which random data never lands on; batching the directions turns the scan
-    into a handful of matmuls.
-    """
+    """dir_second_derivative along each row of dirs, in one matmul A @ dirs.T."""
     wz = A @ z
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(y > 0, wz / np.where(y > 0, y, 1.0), np.inf)
-    weights = phi(t, beta)
-    wv = A @ dirs.T
-    return (weights[:, None] * wv * wv).mean(axis=0)
+    return _curvature_terms(_phi_weights(wz, y, beta)[:, None], wz[:, None], A @ dirs.T,
+                            y[:, None], beta).mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -647,7 +639,6 @@ def landscape_scan(
     obs = observe(A, x)
     y = obs.y
     ax = A @ x
-    y_safe = np.where(y > 0, y, 1.0)
     rng = rng_for(seed, 6)
     points = []
     for nz in norm_grid:
@@ -661,24 +652,17 @@ def landscape_scan(
                 w /= np.linalg.norm(w)
                 z = nz * (sigma * x + tau * w)
                 # gradient, dir_second_derivative along x and
-                # direction_curvatures with their expressions in their order,
-                # so their bits, sharing A @ z, the ratio t and phi(t)
+                # direction_curvatures, sharing A @ z and the weights
                 wz = A @ z
-                t = np.where(y > 0, wz / y_safe, np.inf)
-                weights = phi(t, beta)
-                g = (A.T @ psi_u(wz, y, beta)) / m
+                weights = _phi_weights(wz, y, beta)
+                g = _gradient(A, y, wz, wz, beta)
                 radials.append(float(g @ z) / (nz * nz))
                 aligns.append(float(g @ x))
-                terms = weights * ax * ax
-                on_boundary = (np.abs(wz) == beta * y) & (y > 0)
-                if np.any(on_boundary):
-                    q = np.where(wz * ax > 0, 1.0, 2.0 - 1.0 / beta)
-                    terms = terms + np.where(on_boundary, (q - 1.0) * ax * ax, 0.0)
-                curvs.append(float(np.mean(terms)))
+                curvs.append(float(np.mean(_curvature_terms(weights, wz, ax, y, beta))))
                 dirs = rng.standard_normal((directions, n))
                 dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-                wv = A @ dirs.T
-                min_dir = min(min_dir, float((weights[:, None] * wv * wv).mean(axis=0).min()))
+                curv = _curvature_terms(weights[:, None], wz[:, None], A @ dirs.T, y[:, None], beta)
+                min_dir = min(min_dir, float(curv.mean(axis=0).min()))
             points.append(ScanPoint(
                 norm_z=float(nz),
                 sigma=float(sigma),
@@ -691,12 +675,3 @@ def landscape_scan(
                 min_dir_curv=float(min_dir),
             ))
     return points
-
-
-def write_scan_csv(points: list[ScanPoint], path) -> None:
-    cols = ("norm_z", "sigma", "dist_to_x", "radial_grad", "radial_grad_min",
-            "align_grad", "curv_x", "curv_x_max", "min_dir_curv")
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for p in points:
-            fh.write(",".join(repr(float(getattr(p, c))) for c in cols) + "\n")

@@ -20,15 +20,12 @@ Identical seeds give bit-identical outputs.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 REAL = "real"
 COMPLEX = "complex"
-
-_DUMP_MAGIC = b"SAFD"
 
 
 def check_field(field: str) -> str:
@@ -67,14 +64,18 @@ class Observations:
     def __post_init__(self):
         y = checked_magnitudes(self.y)
         object.__setattr__(self, "y", y)
-        if self.noise_level < 0:
-            raise ValueError("noise_level must be nonnegative")
+        _check_noise_level(self.noise_level)
         if self.noise_level == 0 and y.size and y.min() < 0:
             raise ValueError("noiseless magnitudes must be nonnegative")
 
     @property
     def m(self) -> int:
         return self.y.shape[0]
+
+
+def _check_noise_level(level: float) -> None:
+    if not (np.isfinite(level) and level >= 0):
+        raise ValueError(f"noise level must be finite and nonnegative, got {level}")
 
 
 def magnitudes(y) -> np.ndarray:
@@ -138,55 +139,9 @@ def add_noise(obs: Observations, level: float, seed: int = 0) -> Observations:
     The clamp keeps magnitudes nonnegative; at small levels it is almost
     never active.  level = 0 returns the input unchanged.
     """
-    if not (np.isfinite(level) and level >= 0):
-        raise ValueError(f"noise level must be finite and nonnegative, got {level}")
+    _check_noise_level(level)
     if level == 0:
         return obs
     g = rng_for(seed, 2).standard_normal(obs.m)
     return Observations(y=np.maximum(obs.y + level * g, 0.0), noise_level=level)
 
-
-def dump_trial(path, x: np.ndarray, A: np.ndarray, y) -> None:
-    """Binary dump of one instance (x, A, y), replayable via load_trial.
-
-    Layout: 16-byte header {magic b"SAFD", u32 m, u32 n, u8 field, 3 pad}
-    then little-endian float64 arrays x, A (row-major), y.  Complex scalars
-    are stored as interleaved (re, im) pairs.
-    """
-    y = magnitudes(y)
-    m, n = A.shape
-    field = field_of(A)
-    header = struct.pack("<4sIIB3x", _DUMP_MAGIC, m, n, 1 if field == COMPLEX else 0)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for arr in (x, A, y):
-            if np.iscomplexobj(arr):
-                fh.write(np.ascontiguousarray(arr, dtype="<c16").tobytes())
-            else:
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_trial(path):
-    """Read back a dump_trial file; returns (x, A, Observations).
-
-    Raises ValueError unless the file holds exactly the header and the
-    payload its header describes.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 16:
-        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the 16-byte header")
-    magic, m, n, fcode = struct.unpack_from("<4sIIB3x", raw)
-    if magic != _DUMP_MAGIC:
-        raise ValueError(f"bad magic {magic!r} in {path}")
-    dt = np.dtype("<c16") if fcode else np.dtype("<f8")
-    expected = 16 + (n + m * n) * dt.itemsize + m * 8
-    if len(raw) != expected:
-        raise ValueError(f"{path}: header gives m={m} n={n}, so {expected} bytes "
-                         f"are expected, but the file has {len(raw)}")
-    out = np.complex128 if fcode else np.float64
-    x = np.frombuffer(raw, dtype=dt, count=n, offset=16).astype(out)
-    A = np.frombuffer(raw, dtype=dt, count=m * n, offset=16 + n * dt.itemsize)
-    A = A.reshape(m, n).astype(out)
-    y = np.frombuffer(raw, dtype="<f8", count=m, offset=expected - m * 8).astype(np.float64)
-    return x, A, Observations(y=y, noise_level=0.0)

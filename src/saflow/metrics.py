@@ -178,22 +178,6 @@ def run_success_sweep(spec: ExperimentSpec, threads: int = 1) -> list[SuccessRow
     return rows
 
 
-def run_convergence(spec: ExperimentSpec, noisy_level: float = 0.01) -> dict:
-    """Representative traces per algorithm, noiseless and noisy, one instance.
-
-    All algorithms solve the same seeded instance (the canonical comparison
-    setup is n=128, m=5n, mu=0.8).  Returns
-    {"noiseless": {algorithm: SolveTrace}, "noisy": {...}}.
-    """
-    m = int(round(spec.m_over_n[0] * spec.n))
-    (trial,) = _trials(spec, m, [trial_seed(spec.base_seed, 0)])
-    out: dict = {}
-    for label, level in (("noiseless", 0.0), ("noisy", noisy_level)):
-        traces = _solve_trial(trial._replace(noise_level=level))
-        out[label] = {alg: trace for alg, (_, trace, _, _) in zip(spec.algorithms, traces)}
-    return out
-
-
 def run_iteration_table(
     spec: ExperimentSpec, thresholds=(1e-5, 1e-10), threads: int = 1
 ) -> list[IterationRow]:

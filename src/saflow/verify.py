@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from . import landscape as ls
-from .calculus import dir_second_derivative, gradient, loss, psi_u
+from .calculus import dir_second_derivative, gradient, loss, phi, psi_u
 from .measurement import REAL, gen_sensing, gen_signal, observe, rng_for
 from .reporting import CheckResult
 
@@ -82,16 +82,21 @@ def suite_calculus(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     u2 = 5.0 * rng.standard_normal(samples)
     v = 5.0 * rng.standard_normal(samples)
     beta = rng.uniform(1e-3, 1.0 - 1e-9, samples)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # betas above 3/4 are intentional here
-        val = psi_u(u, v, beta)
-        val2 = psi_u(u2, v, beta)
-    # the sharp u-Lipschitz constant is max(1, 1/beta - 1/2): the inner-branch
-    # slope runs from 1/2 - 1/beta (at u=0) to 2 - 1/beta, the outer slope is 1
-    lip = np.maximum(1.0, 1.0 / beta - 0.5)
-    worst_bound = float(np.max(np.abs(val) - (np.abs(u) + np.abs(v))))
-    worst_lower = float(np.max((u * u - np.abs(u * v)) - val * u))
-    worst_lip = float(np.max(np.abs(val - val2) - lip * np.abs(u - u2)))
+    # scored a slice at a time to bound the temporaries; max over slices is exact
+    worst_bound = worst_lower = worst_lip = -math.inf
+    for start in range(0, samples, ls._MC_LEAF):
+        cut = slice(start, start + ls._MC_LEAF)
+        uc, u2c, vc, bc = u[cut], u2[cut], v[cut], beta[cut]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # betas above 3/4 are intentional here
+            val = psi_u(uc, vc, bc)
+            val2 = psi_u(u2c, vc, bc)
+        # the sharp u-Lipschitz constant is max(1, 1/beta - 1/2): the inner-branch
+        # slope runs from 1/2 - 1/beta (at u=0) to 2 - 1/beta, the outer slope is 1
+        lip = np.maximum(1.0, 1.0 / bc - 0.5)
+        worst_bound = max(worst_bound, float(np.max(np.abs(val) - (np.abs(uc) + np.abs(vc)))))
+        worst_lower = max(worst_lower, float(np.max((uc * uc - np.abs(uc * vc)) - val * uc)))
+        worst_lip = max(worst_lip, float(np.max(np.abs(val - val2) - lip * np.abs(uc - u2c))))
     tol = 1e-9
     rows.append(CheckResult("psi_u_upper_bound", f"{samples} samples",
                             "|psi_u| <= |u|+|v|", repr(worst_bound), repr(tol),
@@ -262,7 +267,7 @@ def g_saddle_weight(t, s):
     """phi(t/s, 1/2) s^2, the curvature weight along x at sigma = 0 (s = 0 gives 0)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(s != 0, t / np.where(s != 0, s, 1.0), np.inf)
-    return ls.phi(ratio, 0.5) * s * s
+    return phi(ratio, 0.5) * s * s
 
 
 # --- landscape suite --------------------------------------------------------

@@ -37,8 +37,13 @@ def _rows_by_id(rows):
 
 
 @pytest.fixture(scope="session")
-def calculus_rows():
-    return _rows_by_id(run_suite("calculus", quick=False, seed=0))
+def calculus_report():
+    return run_suite("calculus", quick=False, seed=0)
+
+
+@pytest.fixture(scope="session")
+def calculus_rows(calculus_report):
+    return _rows_by_id(calculus_report)
 
 
 @pytest.fixture(scope="session")
@@ -52,8 +57,13 @@ def expectation_rows(expectation_report):
 
 
 @pytest.fixture(scope="session")
-def landscape_rows():
-    return _rows_by_id(run_suite("landscape", quick=False, seed=0))
+def landscape_report():
+    return run_suite("landscape", quick=False, seed=0)
+
+
+@pytest.fixture(scope="session")
+def landscape_rows(landscape_report):
+    return _rows_by_id(landscape_report)
 
 
 @pytest.fixture(scope="session")
@@ -133,11 +143,22 @@ def test_criterion_5_derivative_under_indicator(expectation_rows):
     assert _report(5, "derivative under indicator", ok, detail), detail
 
 
+def _assert_matches_golden(report, name, tmp_path):
+    path = tmp_path / name
+    write_report_csv(report, path)
+    assert path.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def test_expectations_full_matches_golden(expectation_report, tmp_path):
     # the 62 full-budget rows, byte for byte (tests/golden/README.md)
-    path = tmp_path / "expectations.csv"
-    write_report_csv(expectation_report, path)
-    assert path.read_bytes() == (GOLDEN / "expectations_full.csv").read_bytes()
+    _assert_matches_golden(expectation_report, "expectations_full.csv", tmp_path)
+
+
+@pytest.mark.parametrize("suite", ["calculus", "landscape"])
+def test_full_suite_matches_golden(suite, request, tmp_path):
+    # the full-budget rows beyond their pass flags, byte for byte
+    _assert_matches_golden(request.getfixturevalue(f"{suite}_report"), f"{suite}_full.csv",
+                           tmp_path)
 
 
 def test_criterion_6_integral_constants(appendix_rows):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from saflow.calculus import (
     check_beta,
     dir_second_derivative,
-    gamma,
     gradient,
     loss,
     loss_and_gradient,
@@ -20,27 +19,6 @@ from saflow.measurement import COMPLEX, REAL, gen_sensing, gen_signal, observe, 
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 betas = st.floats(min_value=0.01, max_value=0.75)
-
-
-def test_gamma_values():
-    assert gamma(0.0, 0.5) == 0.25
-    assert gamma(0.5, 0.5) == pytest.approx(0.5, abs=0)
-    assert gamma(-0.5, 0.5) == pytest.approx(0.5, abs=0)
-    assert gamma(2.0, 0.5) == 2.0
-
-
-@given(betas)
-def test_gamma_continuous_at_junction(beta):
-    lo = gamma(beta * (1 - 1e-12), beta)
-    hi = gamma(beta * (1 + 1e-12), beta)
-    assert abs(lo - hi) < 1e-10
-
-
-def test_gamma_rejects_bad_beta():
-    with pytest.raises(ValueError):
-        gamma(1.0, 0.0)
-    with pytest.raises(ValueError):
-        gamma(1.0, 1.5)
 
 
 def test_check_beta_errors_and_warning():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import saflow.landscape as ls
-from saflow.calculus import dir_second_derivative, gradient
+from saflow.calculus import dir_second_derivative, gradient, phi
 from saflow.measurement import REAL, gen_sensing, gen_signal, observe, rng_for
 
 
@@ -346,7 +346,7 @@ def test_saddle_curvature_against_mc():
     rng = rng_for(31)
     v = rng.standard_normal(2_000_000)
     u = rng.standard_normal(2_000_000)
-    vals = ls.phi(u / v, 0.5) * v * v
+    vals = phi(u / v, 0.5) * v * v
     se = vals.std() / math.sqrt(len(vals))
     assert abs(vals.mean() - ls.saddle_curvature(0.5)) <= 3 * se
 
@@ -390,6 +390,14 @@ def test_direction_curvatures_matches_reference():
     for k in range(5):
         assert batch[k] == pytest.approx(
             dir_second_derivative(z, dirs[k], A, obs, 0.5), rel=1e-12)
+
+
+def test_direction_curvatures_on_branch_boundary():
+    # |<a,z>| = beta*y exactly: the one-sided values of dir_second_derivative
+    A = np.array([[1.0]])
+    dirs = np.array([[1.0], [-1.0]])
+    assert ls.direction_curvatures(A, np.array([2.0]), np.array([1.0]), dirs, 0.5).tolist() \
+        == [1.0, 0.0]
 
 
 def _reference_scan(n, m, beta, norm_grid, sigma_grid, w_samples, directions, seed):
@@ -455,12 +463,3 @@ def test_landscape_scan_rejects_an_empty_scan(field, count):
     with pytest.raises(ValueError, match=f"{field} must be >= 1"):
         ls.landscape_scan(12, 60, 0.5, norm_grid=(0.5,), sigma_grid=(0.5,),
                           **{"w_samples": 1, "directions": 2, field: count})
-
-
-def test_scan_csv(tmp_path):
-    pts = ls.landscape_scan(12, 60, 0.5, norm_grid=(0.5,), sigma_grid=(0.5,),
-                            w_samples=1, directions=2, seed=1)
-    ls.write_scan_csv(pts, tmp_path / "scan.csv")
-    lines = (tmp_path / "scan.csv").read_text().splitlines()
-    assert lines[0].startswith("norm_z,sigma,dist_to_x,radial_grad")
-    assert len(lines) == 2

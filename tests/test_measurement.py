@@ -6,10 +6,8 @@ from saflow.measurement import (
     REAL,
     Observations,
     add_noise,
-    dump_trial,
     gen_sensing,
     gen_signal,
-    load_trial,
     observe,
     pair,
     trial_seed,
@@ -120,55 +118,14 @@ def test_add_noise_rejects_negative_level():
 def test_add_noise_rejects_non_finite_level(level):
     with pytest.raises(ValueError, match="noise level"):
         add_noise(Observations(y=np.ones(2)), level)
+    with pytest.raises(ValueError, match="noise level must be finite and nonnegative"):
+        Observations(y=[1.0, -2.0], noise_level=level)
 
 
 def test_trial_seed_stable_and_distinct():
     assert trial_seed(0, 1, 2) == trial_seed(0, 1, 2)
     assert trial_seed(0, 1, 2) != trial_seed(0, 2, 1)
     assert trial_seed(0, 1) != trial_seed(1, 1)
-
-
-@pytest.mark.parametrize("field", [REAL, COMPLEX])
-def test_dump_roundtrip(tmp_path, field):
-    x = gen_signal(6, field, seed=9)
-    A = gen_sensing(11, 6, field, seed=9)
-    obs = observe(A, x)
-    path = tmp_path / "trial.bin"
-    dump_trial(path, x, A, obs)
-    x2, A2, obs2 = load_trial(path)
-    assert np.array_equal(x, x2)
-    assert np.array_equal(A, A2)
-    assert np.array_equal(obs.y, obs2.y)
-
-
-def test_dump_header_layout(tmp_path):
-    x = gen_signal(3, REAL, seed=0)
-    A = gen_sensing(5, 3, REAL, seed=0)
-    path = tmp_path / "trial.bin"
-    dump_trial(path, x, A, observe(A, x))
-    raw = path.read_bytes()
-    assert raw[:4] == b"SAFD"
-    assert int.from_bytes(raw[4:8], "little") == 5
-    assert int.from_bytes(raw[8:12], "little") == 3
-    assert raw[12] == 0  # real field tag
-    assert len(raw) == 16 + 8 * (3 + 15 + 5)
-    # first payload value is x[0] as little-endian float64
-    assert np.frombuffer(raw[16:24], dtype="<f8")[0] == x[0]
-
-
-@pytest.mark.parametrize("cut", ["truncated", "trailing", "header_only", "short_header"])
-def test_load_trial_rejects_payload_length_mismatch(tmp_path, cut):
-    x = gen_signal(4, REAL, seed=0)
-    A = gen_sensing(10, 4, REAL, seed=0)
-    path = tmp_path / "trial.bin"
-    dump_trial(path, x, A, observe(A, x))
-    raw = path.read_bytes()
-    assert len(raw) == 16 + 8 * (4 + 40 + 10)
-    bad = {"truncated": raw[:-16], "trailing": raw + b"junk",
-           "header_only": raw[:16], "short_header": raw[:10]}[cut]
-    path.write_bytes(bad)
-    with pytest.raises(ValueError, match=f"{len(bad)}"):
-        load_trial(path)
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -191,14 +148,3 @@ def test_observations_reject_a_non_finite_magnitude(bad):
         Observations(y=[1.0, bad, 2.0])
     with pytest.raises(ValueError, match=r"y\[1\]"):
         Observations(y=[1.0, bad, 2.0], noise_level=0.1)
-
-
-def test_load_trial_rejects_a_non_finite_magnitude(tmp_path):
-    x = gen_signal(4, REAL, seed=0)
-    A = gen_sensing(10, 4, REAL, seed=0)
-    y = observe(A, x).y.copy()
-    y[7] = np.nan
-    path = tmp_path / "trial.bin"
-    dump_trial(path, x, A, y)
-    with pytest.raises(ValueError, match=r"y\[7\] = nan"):
-        load_trial(path)

@@ -14,7 +14,6 @@ from saflow.metrics import (
     IterationRow,
     SuccessRow,
     run_beta_sweep,
-    run_convergence,
     run_iteration_table,
     run_success_sweep,
     write_beta_csv,
@@ -147,22 +146,6 @@ def test_beta_sweep_trend_more_smoothing_helps():
     rows = run_beta_sweep(spec)
     rate = {(r.beta, r.init): r.success_rate for r in rows}
     assert rate[(0.9, "random")] >= rate[(0.3, "random")]
-
-
-def test_run_convergence_traces():
-    spec = ExperimentSpec(
-        n=24, field=REAL, m_over_n=(5,), trials=1,
-        config=GdConfig(mu=0.8, err_tol=1e-5, max_iter=1500),
-        algorithms=("saf-random",), base_seed=3)
-    out = run_convergence(spec, noisy_level=0.01)
-    clean = out["noiseless"]["saf-random"]
-    noisy = out["noisy"]["saf-random"]
-    assert clean.records[-1].rel_err <= 1e-5
-    # the noisy run cannot hit the exact-recovery tolerance; it plateaus
-    assert noisy.records[-1].rel_err > 1e-5
-    rerun = run_convergence(spec, noisy_level=0.01)
-    assert [r.rel_err for r in rerun["noisy"]["saf-random"].records] == \
-        [r.rel_err for r in noisy.records]
 
 
 def test_csv_writers(tmp_path):
