@@ -32,7 +32,6 @@ from .landscape import (
 from .measurement import (
     COMPLEX,
     REAL,
-    Observations,
     add_noise,
     gen_sensing,
     gen_signal,

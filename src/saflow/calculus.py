@@ -27,7 +27,7 @@ import warnings
 
 import numpy as np
 
-from .measurement import magnitudes, pair
+from .measurement import pair
 
 DEFAULT_BETA = 0.5
 
@@ -116,7 +116,7 @@ def _products(z, A, y):
     """The body loss, gradient and loss_and_gradient share: the magnitudes y,
     checked against A and z, the products w = <a_i, z> (one forward matvec)
     and psi's first argument u, which is w on real data and |w| on complex."""
-    y = magnitudes(y)
+    y = np.asarray(y, dtype=float)
     _check_dims(z, A, y)
     w = pair(A, z)
     return y, w, (np.abs(w) if np.iscomplexobj(w) else w)
@@ -169,7 +169,7 @@ def dir_second_derivative(
     """
     if np.iscomplexobj(z) or np.iscomplexobj(A) or np.iscomplexobj(v):
         raise NotImplementedError("directional second derivative is real-field only")
-    y = magnitudes(y)
+    y = np.asarray(y, dtype=float)
     _check_dims(z, A, y)
     if np.linalg.norm(v) == 0:
         raise ValueError("direction v must be nonzero")

@@ -142,7 +142,7 @@ def cmd_solve(args) -> int:
                       grad_tol=args.grad_tol, err_tol=args.err_tol)
     x = gen_signal(args.n, args.field, args.seed)
     A = gen_sensing(args.m, args.n, args.field, args.seed)
-    obs = add_noise(observe(A, x), args.noise, args.seed)
+    y = add_noise(observe(A, x), args.noise, args.seed)
     base, init_kind = parse_algorithm(args.algorithm)
     if args.init:
         init_kind = args.init
@@ -151,7 +151,7 @@ def cmd_solve(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     code = 0
     try:
-        trace = run_solver(base, A, obs, config, init, args.seed, truth=x)
+        trace = run_solver(base, A, y, config, init, args.seed, truth=x)
     except DivergedError as exc:
         trace = exc.trace
         code = 1

@@ -636,8 +636,7 @@ def landscape_scan(
     x = gen_signal(n, REAL, seed)
     x /= np.linalg.norm(x)
     A = gen_sensing(m, n, REAL, seed)
-    obs = observe(A, x)
-    y = obs.y
+    y = observe(A, x)
     ax = A @ x
     rng = rng_for(seed, 6)
     points = []

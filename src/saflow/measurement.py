@@ -20,8 +20,6 @@ Identical seeds give bit-identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 REAL = "real"
@@ -54,42 +52,13 @@ def trial_seed(base_seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class Observations:
-    """Nonnegative magnitude data y_i = |<a_i, x>|, plus noise metadata."""
-
-    y: np.ndarray
-    noise_level: float = 0.0
-
-    def __post_init__(self):
-        y = checked_magnitudes(self.y)
-        object.__setattr__(self, "y", y)
-        _check_noise_level(self.noise_level)
-        if self.noise_level == 0 and y.size and y.min() < 0:
-            raise ValueError("noiseless magnitudes must be nonnegative")
-
-    @property
-    def m(self) -> int:
-        return self.y.shape[0]
-
-
-def _check_noise_level(level: float) -> None:
-    if not (np.isfinite(level) and level >= 0):
-        raise ValueError(f"noise level must be finite and nonnegative, got {level}")
-
-
-def magnitudes(y) -> np.ndarray:
-    """Accept either an Observations or a bare array of magnitudes.
-
-    Unchecked, as the loss calls it on every iterate; an Observations, each
-    solve and each spectral initialization use `checked_magnitudes` once.
-    """
-    return y.y if isinstance(y, Observations) else np.asarray(y, dtype=float)
-
-
 def checked_magnitudes(y) -> np.ndarray:
-    """magnitudes(y), raising ValueError at the first non-finite one."""
-    y = magnitudes(y)
+    """y as a float array, raising ValueError at the first non-finite magnitude.
+
+    Each solve and each spectral initialization check y once; the loss,
+    called on every iterate, only converts it.
+    """
+    y = np.asarray(y, dtype=float)
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise ValueError(f"magnitudes must be finite, got y[{bad[0]}] = {y[bad[0]]}")
@@ -126,22 +95,23 @@ def gen_sensing(m: int, n: int, field: str = REAL, seed: int = 0) -> np.ndarray:
     return (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
 
 
-def observe(A: np.ndarray, x: np.ndarray) -> Observations:
+def observe(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Noiseless magnitudes y_i = |<a_i, x>|."""
     if A.shape[1] != x.shape[0]:
         raise ValueError(f"dimension mismatch: A is {A.shape}, x has length {x.shape[0]}")
-    return Observations(y=np.abs(pair(A, x)), noise_level=0.0)
+    return np.abs(pair(A, x))
 
 
-def add_noise(obs: Observations, level: float, seed: int = 0) -> Observations:
+def add_noise(y: np.ndarray, level: float, seed: int = 0) -> np.ndarray:
     """Additive Gaussian noise y_i <- max(y_i + level*g_i, 0).
 
     The clamp keeps magnitudes nonnegative; at small levels it is almost
-    never active.  level = 0 returns the input unchanged.
+    never active.  level = 0 returns y itself.
     """
-    _check_noise_level(level)
+    if not (np.isfinite(level) and level >= 0):
+        raise ValueError(f"noise level must be finite and nonnegative, got {level}")
     if level == 0:
-        return obs
-    g = rng_for(seed, 2).standard_normal(obs.m)
-    return Observations(y=np.maximum(obs.y + level * g, 0.0), noise_level=level)
+        return y
+    g = rng_for(seed, 2).standard_normal(y.shape[0])
+    return np.maximum(y + level * g, 0.0)
 

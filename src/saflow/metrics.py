@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from .distances import SUCCESS_THRESHOLD, dist, success
 from .measurement import (
-    REAL, add_noise, check_field, gen_sensing, gen_signal, magnitudes, observe, trial_seed,
+    REAL, add_noise, check_field, gen_sensing, gen_signal, observe, trial_seed,
 )
 from .solvers import DivergedError, GdConfig, InitStrategy, make_init, parse_algorithm, solve
 
@@ -87,48 +86,30 @@ class IterationRow:
     mean_seconds: float
 
 
-class Trial(NamedTuple):
-    """One seeded instance and the algorithms that all solve it."""
-    n: int
-    m: int
-    field: str
-    algorithms: tuple
-    config: GdConfig
-    noise_level: float
-    power_iters: int
-    seed: int
-    thresholds: tuple = ()  # relative errors whose first-hit iterations are reported
-
-
-def _trials(spec: ExperimentSpec, m: int, seeds, **changes) -> list[Trial]:
-    """The trial payloads of one driver step, a trial per seed, from the spec."""
-    return [Trial(spec.n, m, spec.field, spec.algorithms, spec.config, spec.noise_level,
-                  spec.power_iters, seed)._replace(**changes) for seed in seeds]
-
-
-def _solve_trial(trial: Trial):
-    """Draw the trial's instance once and solve it with every algorithm.
+def _solve_trial(spec: ExperimentSpec, m: int, seed: int):
+    """Draw the instance of trial seed `seed` once and solve it with every
+    algorithm of the spec.
 
     Each init kind's start is built once, timed, and handed to every
     algorithm that starts from it.  Yields (x, trace, diverged, seconds) per
     algorithm, where seconds is the solve time plus the time of its start.
     """
-    x = gen_signal(trial.n, trial.field, trial.seed)
-    A = gen_sensing(trial.m, trial.n, trial.field, trial.seed)
-    obs = add_noise(observe(A, x), trial.noise_level, trial.seed)
+    x = gen_signal(spec.n, spec.field, seed)
+    A = gen_sensing(m, spec.n, spec.field, seed)
+    y = add_noise(observe(A, x), spec.noise_level, seed)
     starts = {}
-    for algorithm in trial.algorithms:
+    for algorithm in spec.algorithms:
         base, init_kind = parse_algorithm(algorithm)
-        init = InitStrategy(kind=init_kind, power_iters=trial.power_iters)
+        init = InitStrategy(kind=init_kind, power_iters=spec.power_iters)
         if init_kind not in starts:
             t0 = time.perf_counter()
-            z0 = make_init(A, magnitudes(obs), init, trial.seed)
+            z0 = make_init(A, y, init, seed)
             z0.flags.writeable = False  # shared: a solver that wrote to it would raise
             starts[init_kind] = (z0, time.perf_counter() - t0)
         z0, init_seconds = starts[init_kind]
         t0 = time.perf_counter()
         try:
-            trace = solve(base, A, obs, trial.config, init, trial.seed, truth=x, z0=z0)
+            trace = solve(base, A, y, spec.config, init, seed, truth=x, z0=z0)
             diverged = False
         except DivergedError as exc:
             trace = exc.trace
@@ -136,28 +117,32 @@ def _solve_trial(trial: Trial):
         yield x, trace, diverged, init_seconds + time.perf_counter() - t0
 
 
-def _run_trial(trial: Trial) -> list[dict]:
-    """Summaries of one trial's solves, one per algorithm; used directly and by the pool."""
+def _run_trial(spec: ExperimentSpec, m: int, seed: int, thresholds: tuple) -> list[dict]:
+    """Summaries of one trial's solves, one per algorithm, with the first-hit
+    iteration of each relative error in thresholds; used directly and by the pool."""
     results = []
-    for x, trace, diverged, seconds in _solve_trial(trial):
+    for x, trace, diverged, seconds in _solve_trial(spec, m, seed):
         final_err = dist(trace.final, x) / np.linalg.norm(x) if trace.final is not None else np.inf
         results.append({
             "success": (not diverged) and bool(success(trace.final, x, SUCCESS_THRESHOLD)),
             "final_rel_err": float(final_err),
-            "iters_to": {thr: trace.iters_to(thr) for thr in trial.thresholds},
+            "iters_to": {thr: trace.iters_to(thr) for thr in thresholds},
             "seconds": seconds,
             "diverged": diverged,
         })
     return results
 
 
-def _map_trials(trials: list[Trial], threads: int) -> list[list[dict]]:
-    """_run_trial over the trials, gathered in trial order."""
+def _map_trials(spec: ExperimentSpec, m: int, seeds: list, threads: int,
+                thresholds: tuple = ()) -> list[list[dict]]:
+    """_run_trial(spec, m, seed, thresholds) per seed, gathered in seed order."""
     if threads <= 1:
-        return [_run_trial(t) for t in trials]
+        return [_run_trial(spec, m, seed, thresholds) for seed in seeds]
     from concurrent.futures import ProcessPoolExecutor  # not loaded by serial runs
+    k = len(seeds)
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_run_trial, trials, chunksize=4))
+        return list(pool.map(_run_trial, [spec] * k, [m] * k, seeds, [thresholds] * k,
+                             chunksize=4))
 
 
 def run_success_sweep(spec: ExperimentSpec, threads: int = 1) -> list[SuccessRow]:
@@ -171,7 +156,7 @@ def run_success_sweep(spec: ExperimentSpec, threads: int = 1) -> list[SuccessRow
     for gi, mn in enumerate(spec.m_over_n):
         m = int(round(mn * spec.n))
         seeds = [trial_seed(spec.base_seed, gi, ti) for ti in range(spec.trials)]
-        results = _map_trials(_trials(spec, m, seeds), threads)
+        results = _map_trials(spec, m, seeds, threads)
         for ai, algorithm in enumerate(spec.algorithms):
             rate = sum(r[ai]["success"] for r in results) / spec.trials
             rows.append(SuccessRow(float(mn), algorithm, rate, spec.trials))
@@ -190,9 +175,9 @@ def run_iteration_table(
     if not (thresholds and all(0 < t < np.inf for t in thresholds)):
         raise ValueError(f"thresholds must be finite and positive, got {thresholds}")
     m = int(round(spec.m_over_n[0] * spec.n))
-    stop = replace(spec.config, err_tol=min(thresholds))
+    trial_spec = replace(spec, config=replace(spec.config, err_tol=min(thresholds)))
     seeds = [trial_seed(spec.base_seed, 0, ti) for ti in range(spec.trials)]
-    results = _map_trials(_trials(spec, m, seeds, config=stop, thresholds=thresholds), threads)
+    results = _map_trials(trial_spec, m, seeds, threads, thresholds)
     rows = []
     for ai, algorithm in enumerate(spec.algorithms):
         base, init_kind = parse_algorithm(algorithm)
@@ -228,9 +213,9 @@ def run_beta_sweep(spec: ExperimentSpec, threads: int = 1) -> list[BetaRow]:
                               ("spectral", spec.m_over_n_spectral)):
             m = int(round(mn * spec.n))
             seeds = [trial_seed(spec.base_seed, bi, ti) for ti in range(spec.trials)]
-            trials = _trials(spec, m, seeds, algorithms=(f"saf-{init_kind}",),
-                             config=replace(spec.config, beta=float(beta)))
-            results = _map_trials(trials, threads)
+            trial_spec = replace(spec, algorithms=(f"saf-{init_kind}",),
+                                 config=replace(spec.config, beta=float(beta)))
+            results = _map_trials(trial_spec, m, seeds, threads)
             rate = sum(r[0]["success"] for r in results) / spec.trials
             rows.append(BetaRow(float(beta), init_kind, rate))
     return rows

@@ -315,7 +315,7 @@ def suite_landscape(quick: bool = False, seed: int = 0) -> list[CheckResult]:
             q = ls.scaled_rate_kernel(float(t), float(sigma))
             worst = max(worst, abs(b - tau ** 3 * sigma * q))
     rows.append(CheckResult("kernel_identity", "25x20 grid", "B = tau^3 sigma Q",
-                            repr(worst), "1e-10", worst <= 1e-10))
+                            repr(float(worst)), "1e-10", worst <= 1e-10))
 
     # non-vanishing-gradient radius values
     rows.append(CheckResult("region_radius_orthogonal", "sigma=0",

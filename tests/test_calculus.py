@@ -84,47 +84,47 @@ def real_instance():
 
 
 def test_loss_zero_at_truth_and_even(real_instance):
-    x, A, obs = real_instance
-    assert loss(x, A, obs, 0.5) == 0.0
-    assert loss(-x, A, obs, 0.5) == 0.0
+    x, A, y = real_instance
+    assert loss(x, A, y, 0.5) == 0.0
+    assert loss(-x, A, y, 0.5) == 0.0
     z = gen_signal(8, REAL, seed=12)
-    assert loss(z, A, obs, 0.5) == loss(-z, A, obs, 0.5)
+    assert loss(z, A, y, 0.5) == loss(-z, A, y, 0.5)
 
 
 def test_loss_at_origin(real_instance):
-    x, A, obs = real_instance
-    expected = 0.28125 * np.mean(obs.y**2)
-    assert loss(np.zeros(8), A, obs, 0.5) == pytest.approx(expected, rel=1e-14)
+    x, A, y = real_instance
+    expected = 0.28125 * np.mean(y**2)
+    assert loss(np.zeros(8), A, y, 0.5) == pytest.approx(expected, rel=1e-14)
 
 
 def test_loss_dim_mismatch(real_instance):
-    x, A, obs = real_instance
+    x, A, y = real_instance
     with pytest.raises(ValueError):
-        loss(np.ones(9), A, obs)
+        loss(np.ones(9), A, y)
     with pytest.raises(ValueError):
-        loss(x, A, obs.y[:-1])
+        loss(x, A, y[:-1])
 
 
 def test_zero_observation_convention():
     # row orthogonal to x gives y = 0; that term contributes w^2/2 to the loss
     A = np.array([[0.0, 1.0]])
     x = np.array([1.0, 0.0])
-    obs = observe(A, x)
-    assert obs.y[0] == 0.0
+    y = observe(A, x)
+    assert y[0] == 0.0
     z = np.array([0.3, 0.7])
-    assert loss(z, A, obs, 0.5) == pytest.approx(0.7**2 / 2)
-    assert gradient(z, A, obs, 0.5) == pytest.approx([0.0, 0.7])
+    assert loss(z, A, y, 0.5) == pytest.approx(0.7**2 / 2)
+    assert gradient(z, A, y, 0.5) == pytest.approx([0.0, 0.7])
 
 
 def test_gradient_zero_at_truth(real_instance):
-    x, A, obs = real_instance
-    assert np.linalg.norm(gradient(x, A, obs, 0.5)) == 0.0
+    x, A, y = real_instance
+    assert np.linalg.norm(gradient(x, A, y, 0.5)) == 0.0
 
 
 def test_gradient_scalar_case():
     A = np.array([[1.0]])
-    obs = observe(A, np.array([1.0]))
-    g = gradient(np.array([2.0]), A, obs, 0.5)
+    y = observe(A, np.array([1.0]))
+    g = gradient(np.array([2.0]), A, y, 0.5)
     assert g == pytest.approx([1.0])
 
 
@@ -132,20 +132,20 @@ def test_gradient_matches_finite_differences():
     rng = rng_for(13)
     x = rng.standard_normal(8)
     A = rng.standard_normal((40, 8))
-    obs = observe(A, x)
+    y = observe(A, x)
     h = 1e-6
     checked = 0
     while checked < 20:
         z = rng.standard_normal(8)
         w = A @ z
-        if np.min(np.abs(np.abs(w) - 0.5 * obs.y)) < 1e-3:
+        if np.min(np.abs(np.abs(w) - 0.5 * y)) < 1e-3:
             continue
-        g = gradient(z, A, obs, 0.5)
+        g = gradient(z, A, y, 0.5)
         fd = np.empty(8)
         for j in range(8):
             e = np.zeros(8)
             e[j] = h
-            fd[j] = (loss(z + e, A, obs, 0.5) - loss(z - e, A, obs, 0.5)) / (2 * h)
+            fd[j] = (loss(z + e, A, y, 0.5) - loss(z - e, A, y, 0.5)) / (2 * h)
         assert np.linalg.norm(fd - g) / np.linalg.norm(g) < 1e-5
         checked += 1
 
@@ -153,10 +153,10 @@ def test_gradient_matches_finite_differences():
 def test_complex_gradient_reduces_to_real():
     x = gen_signal(6, REAL, seed=14)
     A = gen_sensing(30, 6, REAL, seed=14)
-    obs = observe(A, x)
+    y = observe(A, x)
     z = gen_signal(6, REAL, seed=15)
-    g_real = gradient(z, A, obs, 0.5)
-    g_complex = gradient(z.astype(complex), A.astype(complex), obs, 0.5)
+    g_real = gradient(z, A, y, 0.5)
+    g_complex = gradient(z.astype(complex), A.astype(complex), y, 0.5)
     assert np.allclose(g_complex.imag, 0.0, atol=1e-15)
     assert np.allclose(g_complex.real, g_real, atol=1e-14)
 
@@ -165,40 +165,40 @@ def test_complex_gradient_matches_coordinate_derivatives():
     # with the doubled-Wirtinger convention, g_j = dF/d(Re z_j) + i dF/d(Im z_j)
     x = gen_signal(5, COMPLEX, seed=16)
     A = gen_sensing(25, 5, COMPLEX, seed=16)
-    obs = observe(A, x)
+    y = observe(A, x)
     z = gen_signal(5, COMPLEX, seed=17)
-    g = gradient(z, A, obs, 0.5)
+    g = gradient(z, A, y, 0.5)
     h = 1e-6
     for j in range(5):
         e = np.zeros(5, dtype=complex)
         e[j] = h
-        d_re = (loss(z + e, A, obs) - loss(z - e, A, obs)) / (2 * h)
-        d_im = (loss(z + 1j * e, A, obs) - loss(z - 1j * e, A, obs)) / (2 * h)
+        d_re = (loss(z + e, A, y) - loss(z - e, A, y)) / (2 * h)
+        d_im = (loss(z + 1j * e, A, y) - loss(z - 1j * e, A, y)) / (2 * h)
         assert d_re + 1j * d_im == pytest.approx(g[j], abs=1e-6)
 
 
 def test_loss_and_gradient_consistent(real_instance):
-    x, A, obs = real_instance
+    x, A, y = real_instance
     z = gen_signal(8, REAL, seed=18)
-    f, g = loss_and_gradient(z, A, obs, 0.5)
-    assert f == loss(z, A, obs, 0.5)
-    assert np.array_equal(g, gradient(z, A, obs, 0.5))
+    f, g = loss_and_gradient(z, A, y, 0.5)
+    assert f == loss(z, A, y, 0.5)
+    assert np.array_equal(g, gradient(z, A, y, 0.5))
 
 
 def test_dir_second_derivative_at_truth(real_instance):
-    x, A, obs = real_instance
+    x, A, y = real_instance
     v = gen_signal(8, REAL, seed=19)
     # at the truth every ratio is 1 > beta, so the weight is identically 1
-    assert dir_second_derivative(x, v, A, obs, 0.5) == pytest.approx(
+    assert dir_second_derivative(x, v, A, y, 0.5) == pytest.approx(
         float(np.mean((A @ v) ** 2)), rel=1e-14)
 
 
 def test_dir_second_derivative_homogeneity(real_instance):
-    x, A, obs = real_instance
+    x, A, y = real_instance
     z = gen_signal(8, REAL, seed=20)
     v = gen_signal(8, REAL, seed=21)
-    d1 = dir_second_derivative(z, v, A, obs, 0.5)
-    d2 = dir_second_derivative(z, 3.0 * v, A, obs, 0.5)
+    d1 = dir_second_derivative(z, v, A, y, 0.5)
+    d2 = dir_second_derivative(z, 3.0 * v, A, y, 0.5)
     assert d2 == pytest.approx(9.0 * d1, rel=1e-12)
 
 
@@ -206,17 +206,17 @@ def test_dir_second_derivative_matches_second_differences():
     rng = rng_for(22)
     x = rng.standard_normal(8)
     A = rng.standard_normal((40, 8))
-    obs = observe(A, x)
+    y = observe(A, x)
     t = 1e-4
     checked = 0
     while checked < 20:
         z = rng.standard_normal(8)
         v = rng.standard_normal(8)
         v /= np.linalg.norm(v)
-        if np.min(np.abs(np.abs(A @ z) - 0.5 * obs.y)) < 1e-2:
+        if np.min(np.abs(np.abs(A @ z) - 0.5 * y)) < 1e-2:
             continue
-        d2 = dir_second_derivative(z, v, A, obs, 0.5)
-        sd = (loss(z + t * v, A, obs) - 2 * loss(z, A, obs) + loss(z - t * v, A, obs)) / t**2
+        d2 = dir_second_derivative(z, v, A, y, 0.5)
+        sd = (loss(z + t * v, A, y) - 2 * loss(z, A, y) + loss(z - t * v, A, y)) / t**2
         assert d2 == pytest.approx(sd, abs=1e-4)
         checked += 1
 
@@ -225,27 +225,27 @@ def test_dir_second_derivative_on_branch_boundary():
     # |<a,z>| = beta*y exactly: the correction is 0 along the branch staying
     # outer and (1 - 1/beta) * <a,v>^2 along the branch entering the cap
     A = np.array([[1.0]])
-    obs = observe(A, np.array([2.0]))  # y = 2, so the boundary is at wz = 1
+    y = observe(A, np.array([2.0]))  # y = 2, so the boundary is at wz = 1
     z = np.array([1.0])
-    assert dir_second_derivative(z, np.array([1.0]), A, obs, 0.5) == 1.0
-    assert dir_second_derivative(z, np.array([-1.0]), A, obs, 0.5) == 0.0
+    assert dir_second_derivative(z, np.array([1.0]), A, y, 0.5) == 1.0
+    assert dir_second_derivative(z, np.array([-1.0]), A, y, 0.5) == 0.0
 
 
 def test_dir_second_derivative_zero_observation_no_correction():
     # y = 0 with <a,z> = 0 must not trigger the boundary correction: that
     # term is u^2/2, whose curvature along any v is exactly <a,v>^2
     A = np.array([[0.0, 1.0]])
-    obs = observe(A, np.array([1.0, 0.0]))
+    y = observe(A, np.array([1.0, 0.0]))
     z = np.array([0.7, 0.0])
-    assert dir_second_derivative(z, np.array([0.0, 1.0]), A, obs, 0.5) == 1.0
+    assert dir_second_derivative(z, np.array([0.0, 1.0]), A, y, 0.5) == 1.0
 
 
 def test_dir_second_derivative_rejects_complex_and_zero_direction(real_instance):
-    x, A, obs = real_instance
+    x, A, y = real_instance
     with pytest.raises(NotImplementedError):
-        dir_second_derivative(x.astype(complex), x.astype(complex), A.astype(complex), obs)
+        dir_second_derivative(x.astype(complex), x.astype(complex), A.astype(complex), y)
     with pytest.raises(ValueError):
-        dir_second_derivative(x, np.zeros(8), A, obs)
+        dir_second_derivative(x, np.zeros(8), A, y)
 
 
 wide = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False,
@@ -291,7 +291,7 @@ def test_complex_loss_and_gradient_copies_no_sensing_matrix():
     # the pairing conjugates the n-vector, never the m x n matrix
     x = gen_signal(128, COMPLEX, seed=2)
     A = gen_sensing(1024, 128, COMPLEX, seed=2)
-    y = observe(A, x).y
+    y = observe(A, x)
     z = gen_signal(128, COMPLEX, seed=3)
     tracemalloc.start()
     try:

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -340,3 +341,10 @@ def test_verify_all_quick_matches_golden(tmp_path):
     assert run_cli(["verify", "all", "--quick", "--seed", "0", "--out", str(tmp_path)]) == 0
     got = (tmp_path / "verify_all.csv").read_bytes()
     assert got == (GOLDEN / "verify_all.csv").read_bytes()
+
+
+def test_verify_all_writes_plain_numbers(tmp_path):
+    # a numpy scalar's repr would write e.g. np.float64(5e-15) into a cell
+    assert run_cli(["verify", "all", "--quick", "--seed", "1", "--out", str(tmp_path)]) == 0
+    rows = list(csv.reader((tmp_path / "verify_all.csv").open()))
+    assert [cell for row in rows for cell in row if "np." in cell] == []

@@ -381,15 +381,15 @@ def test_direction_curvatures_matches_reference():
     x = gen_signal(16, REAL, seed=7)
     x /= np.linalg.norm(x)
     A = gen_sensing(96, 16, REAL, seed=7)
-    obs = observe(A, x)
+    y = observe(A, x)
     rng = rng_for(8)
     z = 0.8 * x + 0.3 * rng.standard_normal(16)
     dirs = rng.standard_normal((5, 16))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    batch = ls.direction_curvatures(A, obs.y, z, dirs, 0.5)
+    batch = ls.direction_curvatures(A, y, z, dirs, 0.5)
     for k in range(5):
         assert batch[k] == pytest.approx(
-            dir_second_derivative(z, dirs[k], A, obs, 0.5), rel=1e-12)
+            dir_second_derivative(z, dirs[k], A, y, 0.5), rel=1e-12)
 
 
 def test_direction_curvatures_on_branch_boundary():
@@ -406,7 +406,7 @@ def _reference_scan(n, m, beta, norm_grid, sigma_grid, w_samples, directions, se
     x = gen_signal(n, REAL, seed)
     x /= np.linalg.norm(x)
     A = gen_sensing(m, n, REAL, seed)
-    obs = observe(A, x)
+    y = observe(A, x)
     rng = rng_for(seed, 6)
     points = []
     for nz in norm_grid:
@@ -419,13 +419,13 @@ def _reference_scan(n, m, beta, norm_grid, sigma_grid, w_samples, directions, se
                 w -= (w @ x) * x
                 w /= np.linalg.norm(w)
                 z = nz * (sigma * x + tau * w)
-                g = gradient(z, A, obs, beta)
+                g = gradient(z, A, y, beta)
                 radials.append(float(g @ z) / (nz * nz))
                 aligns.append(float(g @ x))
-                curvs.append(dir_second_derivative(z, x, A, obs, beta))
+                curvs.append(dir_second_derivative(z, x, A, y, beta))
                 dirs = rng.standard_normal((directions, n))
                 dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-                min_dir = min(min_dir, float(ls.direction_curvatures(A, obs.y, z, dirs, beta).min()))
+                min_dir = min(min_dir, float(ls.direction_curvatures(A, y, z, dirs, beta).min()))
             points.append(ls.ScanPoint(
                 norm_z=float(nz), sigma=float(sigma),
                 dist_to_x=math.sqrt(max(nz * nz + 1.0 - 2.0 * nz * sigma, 0.0)),

@@ -174,16 +174,16 @@ def test_sweep_parallel_matches_serial():
 def test_shared_start_gives_each_algorithm_its_own_trace(field):
     x = gen_signal(24, field, seed=9)
     A = gen_sensing(192, 24, field, seed=9)
-    obs = observe(A, x)
+    y = observe(A, x)
     config = GdConfig(mu=0.8, max_iter=600, err_tol=1e-10)
-    starts = {kind: make_init(A, obs.y, InitStrategy(kind=kind), 9)
+    starts = {kind: make_init(A, y, InitStrategy(kind=kind), 9)
               for kind in ("random", "spectral")}
     before = {kind: z0.copy() for kind, z0 in starts.items()}
     for algorithm in FIVE:
         base, kind = parse_algorithm(algorithm)
         init = InitStrategy(kind=kind)
-        own = solve(base, A, obs, config, init, 9, truth=x)
-        shared = solve(base, A, obs, config, init, 9, truth=x, z0=starts[kind])
+        own = solve(base, A, y, config, init, 9, truth=x)
+        shared = solve(base, A, y, config, init, 9, truth=x, z0=starts[kind])
         assert shared.reason == own.reason
         assert shared.records == own.records  # iteration counts, losses, errors with ==
         assert np.all(shared.final == own.final)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from saflow.calculus import dir_second_derivative, gradient, loss, loss_and_gradient
 from saflow.distances import dist
 from saflow.measurement import COMPLEX, REAL, gen_sensing, gen_signal, observe
 from saflow.solvers import (
+    ALGORITHMS,
     DivergedError,
     GdConfig,
     InitStrategy,
@@ -24,18 +26,18 @@ def instance():
 
 
 def test_gd_terminates_at_truth(instance):
-    x, A, obs = instance
+    x, A, y = instance
     config = GdConfig(mu=0.6, grad_tol=1e-12, max_iter=100)
-    trace = gd_saf(A, obs, config, InitStrategy("random"), seed=1, truth=x, z0=x.copy())
+    trace = gd_saf(A, y, config, InitStrategy("random"), seed=1, truth=x, z0=x.copy())
     assert trace.reason == "grad_tol"
     assert trace.iterations == 0
     assert trace.records[0].grad_norm <= 1e-12
 
 
 def test_gd_converges_and_traces(instance):
-    x, A, obs = instance
+    x, A, y = instance
     config = GdConfig(mu=0.6, err_tol=1e-5, max_iter=2000)
-    trace = gd_saf(A, obs, config, InitStrategy("random"), seed=2, truth=x)
+    trace = gd_saf(A, y, config, InitStrategy("random"), seed=2, truth=x)
     assert trace.reason == "err_tol"
     assert trace.records[-1].rel_err <= 1e-5
     iters = [r.iter for r in trace.records]
@@ -44,31 +46,31 @@ def test_gd_converges_and_traces(instance):
 
 
 def test_gd_deterministic(instance):
-    x, A, obs = instance
+    x, A, y = instance
     config = GdConfig(mu=0.6, err_tol=1e-5, max_iter=2000)
-    t1 = gd_saf(A, obs, config, InitStrategy("random"), seed=3, truth=x)
-    t2 = gd_saf(A, obs, config, InitStrategy("random"), seed=3, truth=x)
+    t1 = gd_saf(A, y, config, InitStrategy("random"), seed=3, truth=x)
+    t2 = gd_saf(A, y, config, InitStrategy("random"), seed=3, truth=x)
     assert np.array_equal(t1.final, t2.final)
     assert [r.grad_norm for r in t1.records] == [r.grad_norm for r in t2.records]
 
 
 def test_gd_sign_consistency(instance):
     # the loss is even, so mirrored starts give identical error sequences
-    x, A, obs = instance
+    x, A, y = instance
     config = GdConfig(mu=0.6, err_tol=1e-5, max_iter=2000)
     z0 = random_init(32, REAL, seed=4)
-    t_plus = gd_saf(A, obs, config, seed=4, truth=x, z0=z0)
-    t_minus = gd_saf(A, obs, config, seed=4, truth=x, z0=-z0)
+    t_plus = gd_saf(A, y, config, seed=4, truth=x, z0=z0)
+    t_minus = gd_saf(A, y, config, seed=4, truth=x, z0=-z0)
     assert [r.rel_err for r in t_plus.records] == [r.rel_err for r in t_minus.records]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_gd_divergence_raises_with_trace(instance):
-    x, A, obs = instance
+    x, A, y = instance
     config = GdConfig(mu=50.0, max_iter=500)
     with pytest.raises(DivergedError) as exc:
-        gd_saf(A, obs, config, InitStrategy("random"), seed=5, truth=x)
+        gd_saf(A, y, config, InitStrategy("random"), seed=5, truth=x)
     assert isinstance(exc.value.trace, SolveTrace)
     assert exc.value.trace.reason == "diverged"
     assert len(exc.value.trace.records) >= 1
@@ -89,9 +91,9 @@ def test_spectral_init_norm_and_alignment():
     for seed in range(20):
         x = gen_signal(64, REAL, seed=seed)
         A = gen_sensing(640, 64, REAL, seed=seed)
-        obs = observe(A, x)
-        z0 = spectral_init(A, obs, power_iters=50, seed=seed)
-        assert np.linalg.norm(z0) == pytest.approx(np.sqrt(np.mean(obs.y**2)), rel=1e-12)
+        y = observe(A, x)
+        z0 = spectral_init(A, y, power_iters=50, seed=seed)
+        assert np.linalg.norm(z0) == pytest.approx(np.sqrt(np.mean(y**2)), rel=1e-12)
         aligns.append(abs(z0 @ x) / (np.linalg.norm(z0) * np.linalg.norm(x)))
     assert np.mean(aligns) >= 0.8
 
@@ -99,12 +101,12 @@ def test_spectral_init_norm_and_alignment():
 def test_spectral_init_against_dense_eigensolver():
     x = gen_signal(24, REAL, seed=9)
     A = gen_sensing(240, 24, REAL, seed=9)
-    obs = observe(A, x)
-    Y = (A.T * obs.y**2) @ A / 240
+    y = observe(A, x)
+    Y = (A.T * y**2) @ A / 240
     evals, evecs = np.linalg.eigh(Y)
     top = evecs[:, -1]
-    z50 = spectral_init(A, obs, power_iters=50, seed=0)
-    z1 = spectral_init(A, obs, power_iters=1, seed=0)
+    z50 = spectral_init(A, y, power_iters=50, seed=0)
+    z1 = spectral_init(A, y, power_iters=1, seed=0)
     cos50 = abs(z50 @ top) / np.linalg.norm(z50)
     cos1 = abs(z1 @ top) / np.linalg.norm(z1)
     assert cos50 > cos1
@@ -120,17 +122,17 @@ def test_spectral_init_rejects_zero_observations():
 def test_spectral_init_complex():
     x = gen_signal(32, COMPLEX, seed=10)
     A = gen_sensing(320, 32, COMPLEX, seed=10)
-    obs = observe(A, x)
-    z0 = spectral_init(A, obs, power_iters=50, seed=0)
-    assert np.linalg.norm(z0) == pytest.approx(np.sqrt(np.mean(obs.y**2)), rel=1e-12)
+    y = observe(A, x)
+    z0 = spectral_init(A, y, power_iters=50, seed=0)
+    assert np.linalg.norm(z0) == pytest.approx(np.sqrt(np.mean(y**2)), rel=1e-12)
     align = abs(np.vdot(x, z0)) / (np.linalg.norm(z0) * np.linalg.norm(x))
     assert align >= 0.7
 
 
 def test_wf_stays_at_truth(instance):
-    x, A, obs = instance
+    x, A, y = instance
     config = GdConfig(mu=0.8, grad_tol=1e-12, max_iter=50)
-    trace = baseline_solve("wf", A, obs, config, seed=0, truth=x, z0=x.copy())
+    trace = baseline_solve("wf", A, y, config, seed=0, truth=x, z0=x.copy())
     assert trace.iterations == 0
     assert trace.records[0].grad_norm <= 1e-12
 
@@ -139,9 +141,9 @@ def test_wf_stays_at_truth(instance):
 def test_baselines_converge_with_spectral_init(kind):
     x = gen_signal(64, REAL, seed=12)
     A = gen_sensing(512, 64, REAL, seed=12)
-    obs = observe(A, x)
+    y = observe(A, x)
     config = GdConfig(mu=0.8, err_tol=1e-5, max_iter=3000)
-    trace = baseline_solve(kind, A, obs, config, InitStrategy("spectral"), seed=12, truth=x)
+    trace = baseline_solve(kind, A, y, config, InitStrategy("spectral"), seed=12, truth=x)
     assert trace.reason == "err_tol"
 
 
@@ -150,9 +152,9 @@ def test_taf_success_rate_at_8n():
     for seed in range(20):
         x = gen_signal(64, REAL, seed=200 + seed)
         A = gen_sensing(512, 64, REAL, seed=200 + seed)
-        obs = observe(A, x)
+        y = observe(A, x)
         config = GdConfig(mu=0.8, err_tol=1e-5, max_iter=2000)
-        trace = baseline_solve("taf", A, obs, config, InitStrategy("spectral"),
+        trace = baseline_solve("taf", A, y, config, InitStrategy("spectral"),
                                seed=200 + seed, truth=x)
         hits += trace.reason == "err_tol"
     assert hits >= 18  # >= 90% of 20 trials
@@ -164,23 +166,23 @@ def test_saf_random_iteration_band_large():
     for seed in range(5):
         x = gen_signal(1000, REAL, seed=300 + seed)
         A = gen_sensing(8000, 1000, REAL, seed=300 + seed)
-        obs = observe(A, x)
+        y = observe(A, x)
         config = GdConfig(mu=0.8, err_tol=1e-5, max_iter=2000)
-        trace = gd_saf(A, obs, config, InitStrategy("random"), seed=300 + seed, truth=x)
+        trace = gd_saf(A, y, config, InitStrategy("random"), seed=300 + seed, truth=x)
         iters.append(trace.iters_to(1e-5))
     assert 25 <= float(np.median(iters)) <= 90
 
 
 def test_baseline_unknown_kind(instance):
-    x, A, obs = instance
+    x, A, y = instance
     with pytest.raises(ValueError):
-        baseline_solve("gauss-newton", A, obs, GdConfig())
+        baseline_solve("gauss-newton", A, y, GdConfig())
 
 
 def test_trace_csv_roundtrip(tmp_path, instance):
-    x, A, obs = instance
+    x, A, y = instance
     config = GdConfig(mu=0.6, err_tol=1e-5, max_iter=2000)
-    trace = gd_saf(A, obs, config, InitStrategy("random"), seed=13, truth=x)
+    trace = gd_saf(A, y, config, InitStrategy("random"), seed=13, truth=x)
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
     lines = path.read_text().splitlines()
@@ -194,9 +196,9 @@ def test_trace_csv_roundtrip(tmp_path, instance):
 def test_iters_to_nested_thresholds():
     x = gen_signal(32, REAL, seed=40)
     A = gen_sensing(256, 32, REAL, seed=40)  # 8n: comfortably convergent
-    obs = observe(A, x)
+    y = observe(A, x)
     config = GdConfig(mu=0.6, err_tol=1e-10, max_iter=3000)
-    trace = gd_saf(A, obs, config, InitStrategy("random"), seed=14, truth=x)
+    trace = gd_saf(A, y, config, InitStrategy("random"), seed=14, truth=x)
     assert trace.iters_to(1e-10) >= trace.iters_to(1e-5)
     assert np.isfinite(trace.iters_to(1e-10))
 
@@ -207,9 +209,9 @@ def test_monotone_descent_fraction():
     for seed in range(20):
         x = gen_signal(64, REAL, seed=100 + seed)
         A = gen_sensing(320, 64, REAL, seed=100 + seed)
-        obs = observe(A, x)
+        y = observe(A, x)
         config = GdConfig(mu=0.6, err_tol=1e-5, max_iter=2000)
-        trace = gd_saf(A, obs, config, InitStrategy("random"), seed=100 + seed, truth=x)
+        trace = gd_saf(A, y, config, InitStrategy("random"), seed=100 + seed, truth=x)
         losses = [r.loss for r in trace.records]
         steps = np.diff(losses)
         good += int(np.sum(steps <= 1e-12))
@@ -220,17 +222,17 @@ def test_monotone_descent_fraction():
 def test_complex_solve_converges():
     x = gen_signal(48, COMPLEX, seed=15)
     A = gen_sensing(48 * 8, 48, COMPLEX, seed=15)
-    obs = observe(A, x)
+    y = observe(A, x)
     config = GdConfig(mu=0.6, err_tol=1e-5, max_iter=2000)
-    trace = gd_saf(A, obs, config, InitStrategy("random"), seed=15, truth=x)
+    trace = gd_saf(A, y, config, InitStrategy("random"), seed=15, truth=x)
     assert trace.reason == "err_tol"
     assert dist(trace.final, x) / np.linalg.norm(x) <= 1e-5
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_solvers_reject_non_finite_bare_magnitudes(instance, bad):
-    x, A, obs = instance
-    y = obs.y.copy()
+    x, A, y = instance
+    y = y.copy()
     y[3] = bad
     config = GdConfig(max_iter=5)
     for run in (lambda: gd_saf(A, y, config, z0=x.copy()),
@@ -240,3 +242,19 @@ def test_solvers_reject_non_finite_bare_magnitudes(instance, bad):
         with pytest.raises(ValueError, match=r"magnitudes must be finite, got y\[3\]"):
             run()
 
+
+def test_a_list_of_magnitudes_gives_the_bits_of_an_array(instance):
+    x, A, y = instance
+    z = gen_signal(32, REAL, seed=6)
+    v = gen_signal(32, REAL, seed=7)
+    config = GdConfig(max_iter=20)
+
+    def bits(y):
+        out = [loss(z, A, y), gradient(z, A, y), *loss_and_gradient(z, A, y),
+               dir_second_derivative(z, v, A, y), spectral_init(A, y, seed=8)]
+        for name in ALGORITHMS:
+            trace = solve(name, A, y, config, seed=9, truth=x)
+            out += [trace.final, [(r.loss, r.grad_norm, r.rel_err) for r in trace.records]]
+        return [np.asarray(o).tobytes() for o in out]
+
+    assert bits(y.tolist()) == bits(y)
