@@ -45,7 +45,6 @@ from .metrics import (
     run_success_sweep,
 )
 from .solvers import (
-    DivergedError,
     GdConfig,
     InitStrategy,
     SolveTrace,

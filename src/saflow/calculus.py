@@ -82,12 +82,13 @@ def psi_u(u, v, beta: float = DEFAULT_BETA):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     u, v = np.broadcast_arrays(u, v)
+    au = np.abs(u)
     av = np.abs(v)
-    outer = np.sign(u) * (np.abs(u) - av)
+    outer = np.sign(u) * (au - av)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = u / np.where(av > 0, v, 1.0)
         inner = t * t * u / (2.0 * beta * beta) + (0.5 - 1.0 / beta) * u
-    use_inner = (np.abs(u) <= beta * av) & (av > 0)
+    use_inner = (au <= beta * av) & (av > 0)
     return np.where(use_inner, inner, np.where(av > 0, outer, u))
 
 

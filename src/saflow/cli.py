@@ -38,7 +38,7 @@ from .metrics import (
 )
 from .reporting import all_passed, write_report_csv
 from .solvers import (
-    ALGORITHMS, DivergedError, GdConfig, InitStrategy, parse_algorithm, solve as run_solver,
+    ALGORITHMS, GdConfig, InitStrategy, parse_algorithm, solve as run_solver,
 )
 from .verify import SUITES, run_suite
 
@@ -149,12 +149,8 @@ def cmd_solve(args) -> int:
     init = InitStrategy(kind=init_kind, power_iters=args.power_iters)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    code = 0
-    try:
-        trace = run_solver(base, A, y, config, init, args.seed, truth=x)
-    except DivergedError as exc:
-        trace = exc.trace
-        code = 1
+    trace = run_solver(base, A, y, config, init, args.seed, truth=x)
+    code = 1 if trace.reason == "diverged" else 0
     trace.write_csv(outdir / "trace.csv")
     final_err = dist(trace.final, x) / float(np.linalg.norm(x))
     summary = {

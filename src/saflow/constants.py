@@ -1,4 +1,4 @@
-"""Versioned default hyperparameters for the baseline solvers.
+"""Default hyperparameters for the baseline solvers.
 
 These are the published defaults of the respective methods; they are kept
 in one place so benchmark tables are reproducible.  The smoothed-amplitude
@@ -13,8 +13,6 @@ TWF  intensity gradient 2 (|w|^2 - y^2) w / |w|^2, restricted to
      ||w_i|^2 - y_i^2| <= TWF_ALPHA_H * K * |w_i| / ||z||
      with K = mean_j ||w_j|^2 - y_j^2|, fixed step TWF_MU.
 """
-
-BASELINES_VERSION = 1
 
 WF_K0 = 330.0
 WF_MU_MAX = 0.2

@@ -13,15 +13,16 @@ spec, so each solve sees the same A, y, start and seed as a solve of its own.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .distances import SUCCESS_THRESHOLD, dist, success
+from .distances import SUCCESS_THRESHOLD, success
 from .measurement import (
     REAL, add_noise, check_field, gen_sensing, gen_signal, observe, trial_seed,
 )
-from .solvers import DivergedError, GdConfig, InitStrategy, make_init, parse_algorithm, solve
+from .reporting import write_csv
+from .solvers import GdConfig, InitStrategy, make_init, parse_algorithm, solve
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,8 @@ def _solve_trial(spec: ExperimentSpec, m: int, seed: int):
     algorithm of the spec.
 
     Each init kind's start is built once, timed, and handed to every
-    algorithm that starts from it.  Yields (x, trace, diverged, seconds) per
-    algorithm, where seconds is the solve time plus the time of its start.
+    algorithm that starts from it.  Yields (x, trace, seconds) per algorithm,
+    where seconds is the solve time plus the time of its start.
     """
     x = gen_signal(spec.n, spec.field, seed)
     A = gen_sensing(m, spec.n, spec.field, seed)
@@ -108,27 +109,20 @@ def _solve_trial(spec: ExperimentSpec, m: int, seed: int):
             starts[init_kind] = (z0, time.perf_counter() - t0)
         z0, init_seconds = starts[init_kind]
         t0 = time.perf_counter()
-        try:
-            trace = solve(base, A, y, spec.config, init, seed, truth=x, z0=z0)
-            diverged = False
-        except DivergedError as exc:
-            trace = exc.trace
-            diverged = True
-        yield x, trace, diverged, init_seconds + time.perf_counter() - t0
+        trace = solve(base, A, y, spec.config, truth=x, z0=z0)
+        yield x, trace, init_seconds + time.perf_counter() - t0
 
 
 def _run_trial(spec: ExperimentSpec, m: int, seed: int, thresholds: tuple) -> list[dict]:
     """Summaries of one trial's solves, one per algorithm, with the first-hit
     iteration of each relative error in thresholds; used directly and by the pool."""
     results = []
-    for x, trace, diverged, seconds in _solve_trial(spec, m, seed):
-        final_err = dist(trace.final, x) / np.linalg.norm(x) if trace.final is not None else np.inf
+    for x, trace, seconds in _solve_trial(spec, m, seed):
         results.append({
-            "success": (not diverged) and bool(success(trace.final, x, SUCCESS_THRESHOLD)),
-            "final_rel_err": float(final_err),
+            "success": (trace.reason != "diverged"
+                        and bool(success(trace.final, x, SUCCESS_THRESHOLD))),
             "iters_to": {thr: trace.iters_to(thr) for thr in thresholds},
             "seconds": seconds,
-            "diverged": diverged,
         })
     return results
 
@@ -174,6 +168,8 @@ def run_iteration_table(
     thresholds = tuple(thresholds)
     if not (thresholds and all(0 < t < np.inf for t in thresholds)):
         raise ValueError(f"thresholds must be finite and positive, got {thresholds}")
+    if len(spec.m_over_n) != 1:
+        raise ValueError(f"an iteration table takes one m_over_n, got {spec.m_over_n}")
     m = int(round(spec.m_over_n[0] * spec.n))
     trial_spec = replace(spec, config=replace(spec.config, err_tol=min(thresholds)))
     seeds = [trial_seed(spec.base_seed, 0, ti) for ti in range(spec.trials)]
@@ -187,7 +183,7 @@ def run_iteration_table(
             rows.append(IterationRow(
                 algorithm=base,
                 init=init_kind,
-                threshold=thr,
+                threshold=float(thr),
                 median_iters=float(np.median(iters)),
                 mean_seconds=mean_seconds,
             ))
@@ -221,32 +217,17 @@ def run_beta_sweep(spec: ExperimentSpec, threads: int = 1) -> list[BetaRow]:
     return rows
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
+# the writers below take a row's fields, in order, as its CSV columns
 def write_success_csv(rows: list[SuccessRow], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("m_over_n,algorithm,success_rate,trials\n")
-        for r in rows:
-            fh.write(f"{_fmt(r.m_over_n)},{r.algorithm},{_fmt(r.success_rate)},{r.trials}\n")
+    write_csv(path, "m_over_n,algorithm,success_rate,trials", map(astuple, rows))
 
 
 def write_beta_csv(rows: list[BetaRow], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("beta,init,success_rate\n")
-        for r in rows:
-            fh.write(f"{_fmt(r.beta)},{r.init},{_fmt(r.success_rate)}\n")
+    write_csv(path, "beta,init,success_rate", map(astuple, rows))
 
 
 def write_iteration_csv(rows: list[IterationRow], path, timing: bool = True) -> None:
     """Iteration table CSV; timing=False zeroes the wall-clock column so the
     file is byte-reproducible across runs."""
-    with open(path, "w") as fh:
-        fh.write("algorithm,init,threshold,median_iters,mean_seconds\n")
-        for r in rows:
-            secs = r.mean_seconds if timing else 0.0
-            fh.write(
-                f"{r.algorithm},{r.init},{_fmt(r.threshold)},"
-                f"{_fmt(r.median_iters)},{_fmt(secs)}\n"
-            )
+    rows = rows if timing else [replace(r, mean_seconds=0.0) for r in rows]
+    write_csv(path, "algorithm,init,threshold,median_iters,mean_seconds", map(astuple, rows))

@@ -3,10 +3,12 @@
 Each algorithm is one entry of ALGORITHMS (its value and gradient, its step
 rule and its default init), and every solve runs `solve` on that entry.
 
-All solvers share the trace contract: a SolveTrace records one entry per
-visited iterate (including the initial guess), the final iterate, and the
-termination reason.  Stopping tests are evaluated at each iterate before
-updating, so a start at the global minimizer terminates at iteration 0.
+All solvers share the trace contract: every solve returns a SolveTrace that
+records one entry per visited finite iterate (including the initial guess),
+the final iterate, and the stop reason; divergence (an iterate, its loss or
+its gradient not finite) is the reason "diverged", not an exception.
+Stopping tests are evaluated at each iterate before updating, so a start at
+the global minimizer terminates at iteration 0.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from . import constants as C
 from .calculus import DEFAULT_BETA, loss_and_gradient
 from .distances import dist
 from .measurement import REAL, check_field, checked_magnitudes, field_of, pair, rng_for
+from .reporting import write_csv
 
 
 @dataclass(frozen=True)
@@ -89,19 +92,8 @@ class SolveTrace:
         return float("inf")
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("iter,grad_norm,rel_err\n")
-            for rec in self.records:
-                rel = "" if rec.rel_err is None else repr(float(rec.rel_err))
-                fh.write(f"{rec.iter},{float(rec.grad_norm)!r},{rel}\n")
-
-
-class DivergedError(RuntimeError):
-    """Raised when an iterate leaves the finite floats; carries the trace."""
-
-    def __init__(self, trace: SolveTrace):
-        super().__init__(f"{trace.algorithm} diverged at iteration {trace.iterations}")
-        self.trace = trace
+        write_csv(path, "iter,grad_norm,rel_err",
+                  ((r.iter, r.grad_norm, r.rel_err) for r in self.records))
 
 
 def random_init(n: int, field_tag: str = REAL, seed: int = 0) -> np.ndarray:
@@ -151,18 +143,16 @@ def _descend(algorithm, A, y, z, config, truth, value_grad, step_of):
     trace = SolveTrace(algorithm=algorithm)
     norm_truth = np.linalg.norm(truth) if truth is not None else None
     for k in range(config.max_iter + 1):
-        if not np.all(np.isfinite(z)):
+        if not np.all(np.isfinite(z)):  # no record: its loss and error are not numbers
             trace.reason = "diverged"
-            trace.final = z
-            raise DivergedError(trace)
+            break
         f, g = value_grad(z)
         gnorm = float(np.linalg.norm(g))
         rel = float(dist(z, truth) / norm_truth) if truth is not None else None
         trace.records.append(IterRecord(iter=k, loss=f, grad_norm=gnorm, rel_err=rel))
         if not np.isfinite(f) or not np.isfinite(gnorm):
             trace.reason = "diverged"
-            trace.final = z
-            raise DivergedError(trace)
+            break
         if gnorm < config.grad_tol:
             trace.reason = "grad_tol"
             break
@@ -222,7 +212,7 @@ class Algorithm(NamedTuple):
 
 
 # SAF takes its step size from the config; the baselines take theirs and
-# their truncation thresholds from the versioned defaults in saflow.constants
+# their truncation thresholds from the published defaults in saflow.constants
 ALGORITHMS = {
     "saf": Algorithm(lambda A, y, config: lambda z: loss_and_gradient(z, A, y, config.beta),
                      lambda config, z0: lambda k: config.mu, "random"),

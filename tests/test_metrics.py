@@ -20,6 +20,7 @@ from saflow.metrics import (
     write_iteration_csv,
     write_success_csv,
 )
+from saflow.reporting import write_csv
 from saflow.solvers import GdConfig, InitStrategy, make_init, parse_algorithm, solve
 
 FIVE = ("saf-random", "saf-spectral", "wf", "twf", "taf")
@@ -160,6 +161,16 @@ def test_csv_writers(tmp_path):
     write_iteration_csv(irows, tmp_path / "i.csv", timing=False)
     line = (tmp_path / "i.csv").read_text().splitlines()[1]
     assert line == "saf,random,1e-05,44.0,0.0"
+    write_csv(tmp_path / "c.csv", "a,b,c,d,e", [(np.float64(0.1), np.True_, False, None, 3)])
+    assert (tmp_path / "c.csv").read_text() == "a,b,c,d,e\n0.1,true,false,,3\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_diverging_trials_score_as_failures():
+    spec = ExperimentSpec(n=8, m_over_n=(6,), trials=3, config=GdConfig(mu=50.0, max_iter=200))
+    assert [r.success_rate for r in run_success_sweep(spec)] == [0.0]
+    assert [r.median_iters for r in run_iteration_table(spec)] == [np.inf, np.inf]
 
 
 def test_sweep_parallel_matches_serial():
@@ -236,6 +247,12 @@ def test_multi_algorithm_table_parallel_matches_serial():
 def test_experiment_spec_rejects_out_of_range_fields(changes, named):
     with pytest.raises(ValueError, match=named):
         ExperimentSpec(**changes)
+
+
+def test_iteration_table_takes_one_m_over_n():
+    spec = ExperimentSpec(n=8, m_over_n=(6, 2), trials=2, config=GdConfig(max_iter=200))
+    with pytest.raises(ValueError, match="m_over_n"):
+        run_iteration_table(spec)
 
 
 def test_iteration_table_rejects_bad_thresholds():

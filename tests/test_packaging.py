@@ -95,8 +95,9 @@ print(json.dumps({{"code": code, "loaded": sorted(loaded)}}))
 def test_benchmark_hooks_are_in_place():
     # bench/tracing.py wraps the TARGETS functions by identity (an alias
     # would be wrapped twice) and bench/tests replace solvers._descend by its
-    # positional signature; Tier-1 does not run bench/tests, so this keeps a
-    # refactor from blinding the benchmark.  TARGETS is read from the source.
+    # positional signature and binds solve's algorithm and truth by name;
+    # Tier-1 does not run bench/tests, so this keeps a refactor from
+    # blinding the benchmark.  TARGETS is read from the source.
     path = ROOT / "bench" / "tracing.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     (targets,) = [ast.literal_eval(node.value) for node in tree.body
@@ -113,3 +114,4 @@ def test_benchmark_hooks_are_in_place():
     solvers = importlib.import_module("saflow.solvers")
     assert list(inspect.signature(solvers._descend).parameters) == [
         "algorithm", "A", "y", "z", "config", "truth", "value_grad", "step_of"]
+    assert {"algorithm", "truth"} <= set(inspect.signature(solvers.solve).parameters)

@@ -6,7 +6,6 @@ from saflow.distances import dist
 from saflow.measurement import COMPLEX, REAL, gen_sensing, gen_signal, observe
 from saflow.solvers import (
     ALGORITHMS,
-    DivergedError,
     GdConfig,
     InitStrategy,
     SolveTrace,
@@ -66,14 +65,30 @@ def test_gd_sign_consistency(instance):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_gd_divergence_raises_with_trace(instance):
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_divergence_returns_its_trace(instance, algorithm):
     x, A, y = instance
-    config = GdConfig(mu=50.0, max_iter=500)
-    with pytest.raises(DivergedError) as exc:
-        gd_saf(A, y, config, InitStrategy("random"), seed=5, truth=x)
-    assert isinstance(exc.value.trace, SolveTrace)
-    assert exc.value.trace.reason == "diverged"
-    assert len(exc.value.trace.records) >= 1
+    if algorithm == "saf":
+        trace = gd_saf(A, y, GdConfig(mu=50.0, max_iter=500), InitStrategy("random"),
+                       seed=5, truth=x)
+    else:  # the baselines fix their own steps: start where the loss overflows
+        z0 = 1e200 * random_init(32, REAL, seed=5)
+        trace = baseline_solve(algorithm, A, y, GdConfig(), truth=x, z0=z0)
+        assert trace.iterations == 0 and not np.isfinite(trace.records[0].loss)
+    assert isinstance(trace, SolveTrace)
+    assert trace.reason == "diverged"
+    assert len(trace.records) >= 1
+
+
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_non_finite_start_diverges_with_no_record(instance, algorithm):
+    x, A, y = instance
+    z0 = random_init(32, REAL, seed=6)
+    z0[3] = np.nan
+    trace = solve(algorithm, A, y, GdConfig(), truth=x, z0=z0)
+    assert trace.reason == "diverged"
+    assert trace.records == []
+    assert trace.final is z0
 
 
 def test_random_init_matches_signal_distribution():
