@@ -46,7 +46,6 @@ from .metrics import (
 )
 from .solvers import (
     GdConfig,
-    InitStrategy,
     SolveTrace,
     baseline_solve,
     gd_saf,

@@ -37,9 +37,7 @@ from .metrics import (
     write_success_csv,
 )
 from .reporting import all_passed, write_report_csv
-from .solvers import (
-    ALGORITHMS, GdConfig, InitStrategy, parse_algorithm, solve as run_solver,
-)
+from .solvers import ALGORITHMS, GdConfig, make_init, parse_algorithm, solve as run_solver
 from .verify import SUITES, run_suite
 
 # The keys each config accepts, with their JSON types: int (never a bool or a
@@ -144,12 +142,10 @@ def cmd_solve(args) -> int:
     A = gen_sensing(args.m, args.n, args.field, args.seed)
     y = add_noise(observe(A, x), args.noise, args.seed)
     base, init_kind = parse_algorithm(args.algorithm)
-    if args.init:
-        init_kind = args.init
-    init = InitStrategy(kind=init_kind, power_iters=args.power_iters)
+    z0 = make_init(A, y, init_kind, args.seed, args.power_iters)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    trace = run_solver(base, A, y, config, init, args.seed, truth=x)
+    trace = run_solver(base, A, y, config, z0, truth=x)
     code = 1 if trace.reason == "diverged" else 0
     trace.write_csv(outdir / "trace.csv")
     final_err = dist(trace.final, x) / float(np.linalg.norm(x))
@@ -157,7 +153,7 @@ def cmd_solve(args) -> int:
         "algorithm": base,
         "init": init_kind,
         "success": bool(code == 0 and success(trace.final, x)),
-        "final_rel_err": final_err,
+        "final_rel_err": final_err if np.isfinite(final_err) else None,  # JSON has no inf
         "iters": trace.iterations,
         "reason": trace.reason,
     }
@@ -231,12 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=_positive_int, default=gd.max_iter, dest="max_iter")
     p.add_argument("--grad-tol", type=float, default=gd.grad_tol, dest="grad_tol")
     p.add_argument("--err-tol", type=float, default=gd.err_tol, dest="err_tol")
-    p.add_argument("--init", choices=["random", "spectral"], default=None,
-                   help="override the algorithm's default initialization")
     p.add_argument("--power-iters", type=_positive_int, default=spec.power_iters,
                    dest="power_iters")
     p.add_argument("--algorithm", default="saf",
-                   help=f"{' | '.join(ALGORITHMS)} (optionally with -random/-spectral)")
+                   help=f"{' | '.join(ALGORITHMS)}, optionally with -random/-spectral to "
+                        "choose the start")
     p.add_argument("--noise", type=float, default=spec.noise_level, help="additive noise level")
     p.add_argument("--seed", type=_nonnegative_int, default=spec.base_seed)
     p.add_argument("--out", default=".", help="output directory")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _curvature_terms, _gradient, _phi_weights, check_beta
+from .calculus import DEFAULT_BETA, _curvature_terms, _gradient, _phi_weights, check_beta
 from .measurement import REAL, gen_sensing, gen_signal, observe, rng_for
 from .reporting import CheckResult
 
@@ -47,7 +47,7 @@ class LandscapeCoords:
 
     sigma: float
     lam: float
-    beta: float = 0.5
+    beta: float = DEFAULT_BETA
 
     def __post_init__(self):
         if not 0.0 <= self.sigma <= 1.0:
@@ -321,7 +321,7 @@ def alignment_prefactor(sigma: float) -> float:
 ALIGNMENT_PREFACTOR_LIMIT = 1.0 - 4.0 / math.pi
 
 
-def expected_alignment_gradient(sigma: float, beta: float = 0.5) -> float:
+def expected_alignment_gradient(sigma: float, beta: float = DEFAULT_BETA) -> float:
     """Expected alignment component of the gradient at unit iterate norm.
 
     Evaluates, for ||z|| = 1 (lam = beta),
@@ -345,7 +345,7 @@ def expected_alignment_gradient(sigma: float, beta: float = 0.5) -> float:
     return lead + val
 
 
-def orthogonal_curvature(lam: float, beta: float = 0.5) -> float:
+def orthogonal_curvature(lam: float, beta: float = DEFAULT_BETA) -> float:
     """Expected curvature along x at alignment sigma = 0, as a function of lam.
 
     g(lam) = 1 + (3/(pi lam^2))(arctan lam - lam/(1+lam^2))
@@ -362,7 +362,7 @@ def orthogonal_curvature(lam: float, beta: float = 0.5) -> float:
             - ((beta + 2.0) / (math.pi * beta)) * (at + frac))
 
 
-def saddle_curvature(beta: float = 0.5) -> float:
+def saddle_curvature(beta: float = DEFAULT_BETA) -> float:
     """Expected curvature along x at sigma = 0, ||z|| = 1 (lam = beta).
 
     g0(beta) = 1 - (3 + beta^2 + 2 beta)/(pi (1+beta^2) beta)
@@ -611,7 +611,7 @@ class ScanPoint:
 def landscape_scan(
     n: int,
     m: int,
-    beta: float = 0.5,
+    beta: float = DEFAULT_BETA,
     norm_grid=(0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 1.0, 1.2, 1.5),
     sigma_grid=(0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99),
     w_samples: int = 8,

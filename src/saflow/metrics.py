@@ -7,7 +7,7 @@ aggregated by trial index, so outputs do not depend on scheduling.
 
 Drivers are trial-major: a trial draws its instance once, builds each init
 kind's start once, and solves that instance with every algorithm of the
-spec, so each solve sees the same A, y, start and seed as a solve of its own.
+spec, so each solve sees the same A, y and start as a solve of its own.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .measurement import (
     REAL, add_noise, check_field, gen_sensing, gen_signal, observe, trial_seed,
 )
 from .reporting import write_csv
-from .solvers import GdConfig, InitStrategy, make_init, parse_algorithm, solve
+from .solvers import POWER_ITERS, GdConfig, make_init, parse_algorithm, solve
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class ExperimentSpec:
     algorithms: tuple = ("saf-random",)
     noise_level: float = 0.0
     base_seed: int = 0
-    power_iters: int = InitStrategy.power_iters
+    power_iters: int = POWER_ITERS
     beta_grid: tuple = tuple(np.round(np.arange(0.1, 1.01, 0.1), 2))
     m_over_n_random: float = 4.0
     m_over_n_spectral: float = 2.5
@@ -87,37 +87,31 @@ class IterationRow:
     mean_seconds: float
 
 
-def _solve_trial(spec: ExperimentSpec, m: int, seed: int):
-    """Draw the instance of trial seed `seed` once and solve it with every
-    algorithm of the spec.
+def _run_trial(spec: ExperimentSpec, m: int, seed: int, thresholds: tuple) -> list[dict]:
+    """Draw the instance of trial seed `seed` once, solve it with every
+    algorithm of the spec, and summarize each solve with the first-hit
+    iteration of each relative error in thresholds; used directly and by the pool.
 
     Each init kind's start is built once, timed, and handed to every
-    algorithm that starts from it.  Yields (x, trace, seconds) per algorithm,
-    where seconds is the solve time plus the time of its start.
+    algorithm that starts from it; a solve's seconds are its own time plus
+    the time of its start.
     """
     x = gen_signal(spec.n, spec.field, seed)
     A = gen_sensing(m, spec.n, spec.field, seed)
     y = add_noise(observe(A, x), spec.noise_level, seed)
     starts = {}
+    results = []
     for algorithm in spec.algorithms:
         base, init_kind = parse_algorithm(algorithm)
-        init = InitStrategy(kind=init_kind, power_iters=spec.power_iters)
         if init_kind not in starts:
             t0 = time.perf_counter()
-            z0 = make_init(A, y, init, seed)
+            z0 = make_init(A, y, init_kind, seed, spec.power_iters)
             z0.flags.writeable = False  # shared: a solver that wrote to it would raise
             starts[init_kind] = (z0, time.perf_counter() - t0)
         z0, init_seconds = starts[init_kind]
         t0 = time.perf_counter()
-        trace = solve(base, A, y, spec.config, truth=x, z0=z0)
-        yield x, trace, init_seconds + time.perf_counter() - t0
-
-
-def _run_trial(spec: ExperimentSpec, m: int, seed: int, thresholds: tuple) -> list[dict]:
-    """Summaries of one trial's solves, one per algorithm, with the first-hit
-    iteration of each relative error in thresholds; used directly and by the pool."""
-    results = []
-    for x, trace, seconds in _solve_trial(spec, m, seed):
+        trace = solve(base, A, y, spec.config, z0, truth=x)
+        seconds = init_seconds + time.perf_counter() - t0
         results.append({
             "success": (trace.reason != "diverged"
                         and bool(success(trace.final, x, SUCCESS_THRESHOLD))),

@@ -1,7 +1,8 @@
 """Fixed-step gradient descent solvers: smoothed amplitude flow and baselines.
 
 Each algorithm is one entry of ALGORITHMS (its value and gradient, its step
-rule and its default init), and every solve runs `solve` on that entry.
+rule and its default init), and every solve runs `solve` on that entry from
+a start that `make_init` builds.
 
 All solvers share the trace contract: every solve returns a SolveTrace that
 records one entry per visited finite iterate (including the initial guess),
@@ -23,6 +24,8 @@ from .calculus import DEFAULT_BETA, loss_and_gradient
 from .distances import dist
 from .measurement import REAL, check_field, checked_magnitudes, field_of, pair, rng_for
 from .reporting import write_csv
+
+POWER_ITERS = 50  # the default number of spectral-init power iterations
 
 
 @dataclass(frozen=True)
@@ -51,18 +54,6 @@ class GdConfig:
             raise ValueError(f"err_tol must be finite and positive, got {self.err_tol}")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-
-
-@dataclass(frozen=True)
-class InitStrategy:
-    kind: str = "random"  # "random" | "spectral"
-    power_iters: int = 50
-
-    def __post_init__(self):
-        if self.kind not in ("random", "spectral"):
-            raise ValueError(f"unknown init strategy {self.kind!r}")
-        if self.power_iters < 1:
-            raise ValueError("power_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -105,7 +96,7 @@ def random_init(n: int, field_tag: str = REAL, seed: int = 0) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def spectral_init(A: np.ndarray, y, power_iters: int = InitStrategy.power_iters,
+def spectral_init(A: np.ndarray, y, power_iters: int = POWER_ITERS,
                   seed: int = 0) -> np.ndarray:
     """Leading-eigenvector initial guess of Y = mean_i y_i^2 a_i a_i^H.
 
@@ -128,11 +119,13 @@ def spectral_init(A: np.ndarray, y, power_iters: int = InitStrategy.power_iters,
     return float(np.sqrt(np.mean(y2))) * v
 
 
-def make_init(A, y, init: InitStrategy, seed: int) -> np.ndarray:
-    """The start an init strategy gives on the instance (A, y)."""
-    if init.kind == "random":
+def make_init(A, y, kind: str, seed: int, power_iters: int = POWER_ITERS) -> np.ndarray:
+    """The start of init kind 'random' or 'spectral' on the instance (A, y)."""
+    if kind == "random":
         return random_init(A.shape[1], field_of(A), seed)
-    return spectral_init(A, y, init.power_iters, seed)
+    if kind == "spectral":
+        return spectral_init(A, y, power_iters, seed)
+    raise ValueError(f"unknown init kind {kind!r}; init kinds are random, spectral")
 
 
 def _descend(algorithm, A, y, z, config, truth, value_grad, step_of):
@@ -232,18 +225,10 @@ def parse_algorithm(label: str) -> tuple[str, str]:
                      f"each with an optional -random or -spectral")
 
 
-def solve(
-    algorithm: str,
-    A: np.ndarray,
-    y,
-    config: GdConfig,
-    init: InitStrategy | None = None,
-    seed: int = 0,
-    truth: np.ndarray | None = None,
-    z0: np.ndarray | None = None,
-) -> SolveTrace:
-    """Run the ALGORITHMS entry `algorithm` from z0, or else from the start
-    of `init` (by default the algorithm's own init kind); no solver writes to z0.
+def solve(algorithm: str, A: np.ndarray, y, config: GdConfig, z0: np.ndarray,
+          truth: np.ndarray | None = None) -> SolveTrace:
+    """Run the ALGORITHMS entry `algorithm` from the start z0, which no
+    solver writes to.
 
     config supplies max_iter and the stopping tolerances, and SAF's step
     size and beta.
@@ -252,21 +237,17 @@ def solve(
         raise ValueError(f"unknown algorithm {algorithm!r}; algorithms are {', '.join(ALGORITHMS)}")
     entry = ALGORITHMS[algorithm]
     y = checked_magnitudes(y)
-    if z0 is None:
-        z0 = make_init(A, y, init or InitStrategy(entry.init), seed)
     return _descend(algorithm, A, y, z0, config, truth, entry.value_grad(A, y, config),
                     entry.step(config, z0))
 
 
-def gd_saf(A: np.ndarray, y, config: GdConfig, init: InitStrategy | None = None,
-           seed: int = 0, truth: np.ndarray | None = None,
-           z0: np.ndarray | None = None) -> SolveTrace:
+def gd_saf(A: np.ndarray, y, config: GdConfig, z0: np.ndarray,
+           truth: np.ndarray | None = None) -> SolveTrace:
     """Fixed-step gradient descent z <- z - mu * grad F(z) on the smoothed loss."""
-    return solve("saf", A, y, config, init, seed, truth, z0)
+    return solve("saf", A, y, config, z0, truth)
 
 
-def baseline_solve(kind: str, A: np.ndarray, y, config: GdConfig,
-                   init: InitStrategy | None = None, seed: int = 0,
-                   truth: np.ndarray | None = None, z0: np.ndarray | None = None) -> SolveTrace:
+def baseline_solve(kind: str, A: np.ndarray, y, config: GdConfig, z0: np.ndarray,
+                   truth: np.ndarray | None = None) -> SolveTrace:
     """Run one of the comparison solvers, 'wf', 'twf' or 'taf', by name."""
-    return solve(kind, A, y, config, init, seed, truth, z0)
+    return solve(kind, A, y, config, z0, truth)

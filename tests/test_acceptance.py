@@ -17,7 +17,7 @@ from saflow.distances import dist, success
 from saflow.measurement import add_noise, gen_sensing, gen_signal, observe, trial_seed
 from saflow.metrics import ExperimentSpec, run_iteration_table, run_success_sweep
 from saflow.reporting import write_report_csv
-from saflow.solvers import GdConfig, InitStrategy, gd_saf
+from saflow.solvers import GdConfig, gd_saf, random_init
 from saflow.verify import run_suite
 
 TOL_REL_ERR = 1e-5
@@ -209,9 +209,9 @@ def test_criterion_9_noise_robustness():
         x = gen_signal(128, "real", seed)
         A = gen_sensing(640, 128, "real", seed)
         clean = observe(A, x)
-        twin = gd_saf(A, clean, config, InitStrategy("random"), seed, truth=x)
-        noisy = gd_saf(A, add_noise(clean, 0.01, seed), config,
-                       InitStrategy("random"), seed, truth=x)
+        start = random_init(128, "real", seed)
+        twin = gd_saf(A, clean, config, start, truth=x)
+        noisy = gd_saf(A, add_noise(clean, 0.01, seed), config, start, truth=x)
         recovered.append(success(twin.final, x))
         noisy_errs.append(dist(noisy.final, x) / float(np.linalg.norm(x)))
     floor_ok = all(1e-4 <= e <= 1e-1

@@ -20,7 +20,7 @@ def test_solve_writes_trace_and_summary(tmp_path):
     out = tmp_path / "run"
     code = run_cli(["solve", "--n", "32", "--m", "192", "--field", "real",
                     "--beta", "0.5", "--mu", "0.6", "--max-iter", "2000",
-                    "--init", "random", "--seed", "7", "--out", str(out)])
+                    "--algorithm", "saf-random", "--seed", "7", "--out", str(out)])
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["success"] is True
@@ -76,6 +76,23 @@ def test_solve_divergence_exits_1_with_trace(tmp_path):
     assert summary["reason"] == "diverged"
     assert summary["success"] is False
     assert (tmp_path / "trace.csv").exists()
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_solve_non_finite_error_writes_strict_json(tmp_path, capsys):
+    # at mu=1e300 the first step overflows: the final iterate is not finite
+    code = run_cli(["solve", "--n", "8", "--m", "40", "--mu", "1e300", "--seed", "1",
+                    "--out", str(tmp_path)])
+    assert code == 1
+    for text in ((tmp_path / "summary.json").read_text(), capsys.readouterr().out):
+        summary = json.loads(text, parse_constant=_no_constant)
+        assert summary["reason"] == "diverged"
+        assert summary["final_rel_err"] is None
 
 
 def test_sweep_success_mode(tmp_path):

@@ -21,7 +21,7 @@ from saflow.metrics import (
     write_success_csv,
 )
 from saflow.reporting import write_csv
-from saflow.solvers import GdConfig, InitStrategy, make_init, parse_algorithm, solve
+from saflow.solvers import GdConfig, make_init, parse_algorithm, solve
 
 FIVE = ("saf-random", "saf-spectral", "wf", "twf", "taf")
 
@@ -187,14 +187,12 @@ def test_shared_start_gives_each_algorithm_its_own_trace(field):
     A = gen_sensing(192, 24, field, seed=9)
     y = observe(A, x)
     config = GdConfig(mu=0.8, max_iter=600, err_tol=1e-10)
-    starts = {kind: make_init(A, y, InitStrategy(kind=kind), 9)
-              for kind in ("random", "spectral")}
+    starts = {kind: make_init(A, y, kind, 9) for kind in ("random", "spectral")}
     before = {kind: z0.copy() for kind, z0 in starts.items()}
     for algorithm in FIVE:
         base, kind = parse_algorithm(algorithm)
-        init = InitStrategy(kind=kind)
-        own = solve(base, A, y, config, init, 9, truth=x)
-        shared = solve(base, A, y, config, init, 9, truth=x, z0=starts[kind])
+        own = solve(base, A, y, config, make_init(A, y, kind, 9), truth=x)
+        shared = solve(base, A, y, config, starts[kind], truth=x)
         assert shared.reason == own.reason
         assert shared.records == own.records  # iteration counts, losses, errors with ==
         assert np.all(shared.final == own.final)

@@ -96,6 +96,7 @@ def test_benchmark_hooks_are_in_place():
     # bench/tracing.py wraps the TARGETS functions by identity (an alias
     # would be wrapped twice) and bench/tests replace solvers._descend by its
     # positional signature and binds solve's algorithm and truth by name;
+    # the benchmark's spot solve passes gd_saf its start as z0=...;
     # Tier-1 does not run bench/tests, so this keeps a refactor from
     # blinding the benchmark.  TARGETS is read from the source.
     path = ROOT / "bench" / "tracing.py"
@@ -115,3 +116,4 @@ def test_benchmark_hooks_are_in_place():
     assert list(inspect.signature(solvers._descend).parameters) == [
         "algorithm", "A", "y", "z", "config", "truth", "value_grad", "step_of"]
     assert {"algorithm", "truth"} <= set(inspect.signature(solvers.solve).parameters)
+    assert "z0" in inspect.signature(solvers.gd_saf).parameters

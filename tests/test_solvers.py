@@ -7,10 +7,10 @@ from saflow.measurement import COMPLEX, REAL, gen_sensing, gen_signal, observe
 from saflow.solvers import (
     ALGORITHMS,
     GdConfig,
-    InitStrategy,
     SolveTrace,
     baseline_solve,
     gd_saf,
+    make_init,
     random_init,
     solve,
     spectral_init,
@@ -27,7 +27,7 @@ def instance():
 def test_gd_terminates_at_truth(instance):
     x, A, y = instance
     config = GdConfig(mu=0.6, grad_tol=1e-12, max_iter=100)
-    trace = gd_saf(A, y, config, InitStrategy("random"), seed=1, truth=x, z0=x.copy())
+    trace = gd_saf(A, y, config, x.copy(), truth=x)
     assert trace.reason == "grad_tol"
     assert trace.iterations == 0
     assert trace.records[0].grad_norm <= 1e-12
@@ -36,7 +36,7 @@ def test_gd_terminates_at_truth(instance):
 def test_gd_converges_and_traces(instance):
     x, A, y = instance
     config = GdConfig(mu=0.6, err_tol=1e-5, max_iter=2000)
-    trace = gd_saf(A, y, config, InitStrategy("random"), seed=2, truth=x)
+    trace = gd_saf(A, y, config, random_init(32, REAL, seed=2), truth=x)
     assert trace.reason == "err_tol"
     assert trace.records[-1].rel_err <= 1e-5
     iters = [r.iter for r in trace.records]
@@ -47,8 +47,8 @@ def test_gd_converges_and_traces(instance):
 def test_gd_deterministic(instance):
     x, A, y = instance
     config = GdConfig(mu=0.6, err_tol=1e-5, max_iter=2000)
-    t1 = gd_saf(A, y, config, InitStrategy("random"), seed=3, truth=x)
-    t2 = gd_saf(A, y, config, InitStrategy("random"), seed=3, truth=x)
+    t1 = gd_saf(A, y, config, random_init(32, REAL, seed=3), truth=x)
+    t2 = gd_saf(A, y, config, random_init(32, REAL, seed=3), truth=x)
     assert np.array_equal(t1.final, t2.final)
     assert [r.grad_norm for r in t1.records] == [r.grad_norm for r in t2.records]
 
@@ -58,8 +58,8 @@ def test_gd_sign_consistency(instance):
     x, A, y = instance
     config = GdConfig(mu=0.6, err_tol=1e-5, max_iter=2000)
     z0 = random_init(32, REAL, seed=4)
-    t_plus = gd_saf(A, y, config, seed=4, truth=x, z0=z0)
-    t_minus = gd_saf(A, y, config, seed=4, truth=x, z0=-z0)
+    t_plus = gd_saf(A, y, config, z0, truth=x)
+    t_minus = gd_saf(A, y, config, -z0, truth=x)
     assert [r.rel_err for r in t_plus.records] == [r.rel_err for r in t_minus.records]
 
 
@@ -69,11 +69,11 @@ def test_gd_sign_consistency(instance):
 def test_divergence_returns_its_trace(instance, algorithm):
     x, A, y = instance
     if algorithm == "saf":
-        trace = gd_saf(A, y, GdConfig(mu=50.0, max_iter=500), InitStrategy("random"),
-                       seed=5, truth=x)
+        trace = gd_saf(A, y, GdConfig(mu=50.0, max_iter=500), random_init(32, REAL, seed=5),
+                       truth=x)
     else:  # the baselines fix their own steps: start where the loss overflows
         z0 = 1e200 * random_init(32, REAL, seed=5)
-        trace = baseline_solve(algorithm, A, y, GdConfig(), truth=x, z0=z0)
+        trace = baseline_solve(algorithm, A, y, GdConfig(), z0, truth=x)
         assert trace.iterations == 0 and not np.isfinite(trace.records[0].loss)
     assert isinstance(trace, SolveTrace)
     assert trace.reason == "diverged"
@@ -85,7 +85,7 @@ def test_non_finite_start_diverges_with_no_record(instance, algorithm):
     x, A, y = instance
     z0 = random_init(32, REAL, seed=6)
     z0[3] = np.nan
-    trace = solve(algorithm, A, y, GdConfig(), truth=x, z0=z0)
+    trace = solve(algorithm, A, y, GdConfig(), z0, truth=x)
     assert trace.reason == "diverged"
     assert trace.records == []
     assert trace.final is z0
@@ -134,6 +134,16 @@ def test_spectral_init_rejects_zero_observations():
         spectral_init(A, np.zeros(10))
 
 
+@pytest.mark.parametrize("build", [
+    lambda A, y: make_init(A, y, "gaussian", 0),
+    lambda A, y: spectral_init(A, y, power_iters=0),
+], ids=["unknown-kind", "zero-power-iters"])
+def test_start_checks_raise(instance, build):
+    x, A, y = instance
+    with pytest.raises(ValueError):
+        build(A, y)
+
+
 def test_spectral_init_complex():
     x = gen_signal(32, COMPLEX, seed=10)
     A = gen_sensing(320, 32, COMPLEX, seed=10)
@@ -147,7 +157,7 @@ def test_spectral_init_complex():
 def test_wf_stays_at_truth(instance):
     x, A, y = instance
     config = GdConfig(mu=0.8, grad_tol=1e-12, max_iter=50)
-    trace = baseline_solve("wf", A, y, config, seed=0, truth=x, z0=x.copy())
+    trace = baseline_solve("wf", A, y, config, x.copy(), truth=x)
     assert trace.iterations == 0
     assert trace.records[0].grad_norm <= 1e-12
 
@@ -158,7 +168,7 @@ def test_baselines_converge_with_spectral_init(kind):
     A = gen_sensing(512, 64, REAL, seed=12)
     y = observe(A, x)
     config = GdConfig(mu=0.8, err_tol=1e-5, max_iter=3000)
-    trace = baseline_solve(kind, A, y, config, InitStrategy("spectral"), seed=12, truth=x)
+    trace = baseline_solve(kind, A, y, config, spectral_init(A, y, seed=12), truth=x)
     assert trace.reason == "err_tol"
 
 
@@ -169,8 +179,8 @@ def test_taf_success_rate_at_8n():
         A = gen_sensing(512, 64, REAL, seed=200 + seed)
         y = observe(A, x)
         config = GdConfig(mu=0.8, err_tol=1e-5, max_iter=2000)
-        trace = baseline_solve("taf", A, y, config, InitStrategy("spectral"),
-                               seed=200 + seed, truth=x)
+        trace = baseline_solve("taf", A, y, config, spectral_init(A, y, seed=200 + seed),
+                               truth=x)
         hits += trace.reason == "err_tol"
     assert hits >= 18  # >= 90% of 20 trials
 
@@ -183,7 +193,7 @@ def test_saf_random_iteration_band_large():
         A = gen_sensing(8000, 1000, REAL, seed=300 + seed)
         y = observe(A, x)
         config = GdConfig(mu=0.8, err_tol=1e-5, max_iter=2000)
-        trace = gd_saf(A, y, config, InitStrategy("random"), seed=300 + seed, truth=x)
+        trace = gd_saf(A, y, config, random_init(1000, REAL, seed=300 + seed), truth=x)
         iters.append(trace.iters_to(1e-5))
     assert 25 <= float(np.median(iters)) <= 90
 
@@ -191,13 +201,13 @@ def test_saf_random_iteration_band_large():
 def test_baseline_unknown_kind(instance):
     x, A, y = instance
     with pytest.raises(ValueError):
-        baseline_solve("gauss-newton", A, y, GdConfig())
+        baseline_solve("gauss-newton", A, y, GdConfig(), x.copy())
 
 
 def test_trace_csv_roundtrip(tmp_path, instance):
     x, A, y = instance
     config = GdConfig(mu=0.6, err_tol=1e-5, max_iter=2000)
-    trace = gd_saf(A, y, config, InitStrategy("random"), seed=13, truth=x)
+    trace = gd_saf(A, y, config, random_init(32, REAL, seed=13), truth=x)
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
     lines = path.read_text().splitlines()
@@ -213,7 +223,7 @@ def test_iters_to_nested_thresholds():
     A = gen_sensing(256, 32, REAL, seed=40)  # 8n: comfortably convergent
     y = observe(A, x)
     config = GdConfig(mu=0.6, err_tol=1e-10, max_iter=3000)
-    trace = gd_saf(A, y, config, InitStrategy("random"), seed=14, truth=x)
+    trace = gd_saf(A, y, config, random_init(32, REAL, seed=14), truth=x)
     assert trace.iters_to(1e-10) >= trace.iters_to(1e-5)
     assert np.isfinite(trace.iters_to(1e-10))
 
@@ -226,7 +236,7 @@ def test_monotone_descent_fraction():
         A = gen_sensing(320, 64, REAL, seed=100 + seed)
         y = observe(A, x)
         config = GdConfig(mu=0.6, err_tol=1e-5, max_iter=2000)
-        trace = gd_saf(A, y, config, InitStrategy("random"), seed=100 + seed, truth=x)
+        trace = gd_saf(A, y, config, random_init(64, REAL, seed=100 + seed), truth=x)
         losses = [r.loss for r in trace.records]
         steps = np.diff(losses)
         good += int(np.sum(steps <= 1e-12))
@@ -239,7 +249,7 @@ def test_complex_solve_converges():
     A = gen_sensing(48 * 8, 48, COMPLEX, seed=15)
     y = observe(A, x)
     config = GdConfig(mu=0.6, err_tol=1e-5, max_iter=2000)
-    trace = gd_saf(A, y, config, InitStrategy("random"), seed=15, truth=x)
+    trace = gd_saf(A, y, config, random_init(48, COMPLEX, seed=15), truth=x)
     assert trace.reason == "err_tol"
     assert dist(trace.final, x) / np.linalg.norm(x) <= 1e-5
 
@@ -250,9 +260,9 @@ def test_solvers_reject_non_finite_bare_magnitudes(instance, bad):
     y = y.copy()
     y[3] = bad
     config = GdConfig(max_iter=5)
-    for run in (lambda: gd_saf(A, y, config, z0=x.copy()),
-                lambda: baseline_solve("taf", A, y, config, z0=x.copy()),
-                lambda: solve("wf", A, y, config),
+    for run in (lambda: gd_saf(A, y, config, x.copy()),
+                lambda: baseline_solve("taf", A, y, config, x.copy()),
+                lambda: solve("wf", A, y, config, x.copy()),
                 lambda: spectral_init(A, y)):
         with pytest.raises(ValueError, match=r"magnitudes must be finite, got y\[3\]"):
             run()
@@ -268,7 +278,8 @@ def test_a_list_of_magnitudes_gives_the_bits_of_an_array(instance):
         out = [loss(z, A, y), gradient(z, A, y), *loss_and_gradient(z, A, y),
                dir_second_derivative(z, v, A, y), spectral_init(A, y, seed=8)]
         for name in ALGORITHMS:
-            trace = solve(name, A, y, config, seed=9, truth=x)
+            trace = solve(name, A, y, config, make_init(A, y, ALGORITHMS[name].init, 9),
+                          truth=x)
             out += [trace.final, [(r.loss, r.grad_norm, r.rel_err) for r in trace.records]]
         return [np.asarray(o).tobytes() for o in out]
 
