@@ -35,7 +35,7 @@ DEFAULT_BETA = 0.5
 def check_beta(beta):
     """Validate the smoothing parameter; scalars and arrays both accepted."""
     if type(beta) is float and 0.0 < beta <= 0.75:
-        return beta  # the common case, on every psi/psi_u call of a solve
+        return beta  # the common case, once per iterate of a solve
     arr = np.asarray(beta)
     if not np.all((arr > 0.0) & (arr <= 1.0)):
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
@@ -47,6 +47,33 @@ def check_beta(beta):
     return beta
 
 
+def _psi_and_psi_u(u, v, beta):
+    """(psi(u, v), psi_u(u, v)) from one branch selection: the masks and the
+    ratio u/v are built once, and each branch keeps its own expressions."""
+    check_beta(beta)
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    u, v = np.broadcast_arrays(u, v)
+    au = np.abs(u)
+    av = np.abs(v)
+    nonzero = av > 0
+    outer = 0.5 * (au - av) ** 2
+    vsq = v * v
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = u / np.where(nonzero, v, 1.0)  # bounded by beta where selected
+        tt = t * t
+        dev = tt / (2.0 * beta) + beta / 2.0 - 1.0
+        inner = 0.5 * dev * dev * vsq
+        # m-vectors go at their last use, keeping the peak below psi's alone:
+        # a higher one was seen to page-fault on every iterate at m = 8000
+        del t, dev, vsq
+        inner_u = tt * u / (2.0 * beta * beta) + (0.5 - 1.0 / beta) * u
+    use_inner = (au <= beta * av) & nonzero
+    value = np.where(use_inner, inner, np.where(nonzero, outer, 0.5 * u * u))
+    del inner, outer, tt
+    return value, np.where(use_inner, inner_u, np.where(nonzero, np.sign(u) * (au - av), u))
+
+
 def psi(u, v, beta: float = DEFAULT_BETA):
     """Per-measurement loss (gamma(u/v) - 1)^2 v^2 / 2, with psi(u, 0) = u^2/2.
 
@@ -54,20 +81,7 @@ def psi(u, v, beta: float = DEFAULT_BETA):
     quantity algebraically), so extreme u/v ratios cannot overflow; on the
     inner branch the ratio is bounded by beta.
     """
-    check_beta(beta)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u, v = np.broadcast_arrays(u, v)
-    au = np.abs(u)
-    av = np.abs(v)
-    outer = 0.5 * (au - av) ** 2
-    vsq = v * v
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = u / np.where(av > 0, v, 1.0)  # bounded by beta where selected
-        dev = t * t / (2.0 * beta) + beta / 2.0 - 1.0
-        inner = 0.5 * dev * dev * vsq
-    use_inner = (au <= beta * av) & (av > 0)
-    return np.where(use_inner, inner, np.where(av > 0, outer, 0.5 * u * u))
+    return _psi_and_psi_u(u, v, beta)[0]
 
 
 def psi_u(u, v, beta: float = DEFAULT_BETA):
@@ -78,18 +92,7 @@ def psi_u(u, v, beta: float = DEFAULT_BETA):
     subnormal v; explicit products instead of the pow ufunc keep the result
     exactly odd in u, which mirror-exact descent trajectories rely on.
     """
-    check_beta(beta)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u, v = np.broadcast_arrays(u, v)
-    au = np.abs(u)
-    av = np.abs(v)
-    outer = np.sign(u) * (au - av)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = u / np.where(av > 0, v, 1.0)
-        inner = t * t * u / (2.0 * beta * beta) + (0.5 - 1.0 / beta) * u
-    use_inner = (au <= beta * av) & (av > 0)
-    return np.where(use_inner, inner, np.where(av > 0, outer, u))
+    return _psi_and_psi_u(u, v, beta)[1]
 
 
 def phi(t, beta: float = DEFAULT_BETA):
@@ -123,9 +126,8 @@ def _products(z, A, y):
     return y, w, (np.abs(w) if np.iscomplexobj(w) else w)
 
 
-def _gradient(A, y, w, u, beta):
-    """mean_i psi_u(u_i, y_i) a_i, times the phase w_i/|w_i| (0 where w_i = 0) on complex data."""
-    c = psi_u(u, y, beta)
+def _gradient(A, y, w, u, c):
+    """mean_i c_i a_i, times the phase w_i/|w_i| (0 where w_i = 0) on complex data."""
     if np.iscomplexobj(w):
         c = c * np.where(u > 0, w / np.where(u > 0, u, 1.0), 0.0)
     return (A.T @ c) / y.shape[0]
@@ -149,13 +151,15 @@ def gradient(z: np.ndarray, A: np.ndarray, y, beta: float = DEFAULT_BETA) -> np.
     contribution where <a_i, z> = 0; it reduces to the real formula when
     imaginary parts vanish.
     """
-    return _gradient(A, *_products(z, A, y), beta)
+    y, w, u = _products(z, A, y)
+    return _gradient(A, y, w, u, psi_u(u, y, beta))
 
 
 def loss_and_gradient(z, A, y, beta: float = DEFAULT_BETA):
     """Loss and gradient sharing one forward matvec (used by the solver loop)."""
     y, w, u = _products(z, A, y)
-    return float(np.mean(psi(u, y, beta))), _gradient(A, y, w, u, beta)
+    f, c = _psi_and_psi_u(u, y, beta)
+    return float(np.mean(f)), _gradient(A, y, w, u, c)
 
 
 def dir_second_derivative(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import DEFAULT_BETA, _curvature_terms, _gradient, _phi_weights, check_beta
+from .calculus import DEFAULT_BETA, _curvature_terms, _gradient, _phi_weights, check_beta, psi_u
 from .measurement import REAL, gen_sensing, gen_signal, observe, rng_for
 from .reporting import CheckResult
 
@@ -60,10 +60,6 @@ class LandscapeCoords:
     def tau(self) -> float:
         return math.sqrt(max(1.0 - self.sigma * self.sigma, 0.0))
 
-    @property
-    def norm_z(self) -> float:
-        return self.beta / self.lam
-
     def mu_sq(self) -> tuple[float, float]:
         """(mu_plus^2, mu_minus^2) = (1 + lam^2 +- 2 sigma lam)/tau^2."""
         t2 = self.tau * self.tau
@@ -79,9 +75,6 @@ class MCEstimate:
     mean: float
     std_error: float
     samples: int
-
-    def within(self, target: float, n_sigma: float = 3.0) -> bool:
-        return abs(self.mean - target) <= n_sigma * self.std_error
 
 
 def expected_abs_uv(sigma: float) -> float:
@@ -654,7 +647,7 @@ def landscape_scan(
                 # direction_curvatures, sharing A @ z and the weights
                 wz = A @ z
                 weights = _phi_weights(wz, y, beta)
-                g = _gradient(A, y, wz, wz, beta)
+                g = _gradient(A, y, wz, wz, psi_u(wz, y, beta))
                 radials.append(float(g @ z) / (nz * nz))
                 aligns.append(float(g @ x))
                 curvs.append(float(np.mean(_curvature_terms(weights, wz, ax, y, beta))))

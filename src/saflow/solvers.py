@@ -218,8 +218,8 @@ ALGORITHMS = {
 def parse_algorithm(label: str) -> tuple[str, str]:
     """Split an algorithm label ('saf-random', 'wf', 'twf-spectral', ...) into
     (algorithm, init kind); a bare name gets the algorithm's default init."""
-    name, _, init = label.partition("-")
-    if name in ALGORITHMS and init in ("", "random", "spectral"):
+    name, dash, init = label.partition("-")
+    if name in ALGORITHMS and dash + init in ("", "-random", "-spectral"):
         return name, init or ALGORITHMS[name].init
     raise ValueError(f"unknown algorithm {label!r}; algorithms are {', '.join(ALGORITHMS)}, "
                      f"each with an optional -random or -spectral")

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import saflow.calculus as calculus
 from saflow.calculus import (
+    _products,
     check_beta,
     dir_second_derivative,
     gradient,
@@ -300,3 +302,120 @@ def test_complex_loss_and_gradient_copies_no_sensing_matrix():
     finally:
         tracemalloc.stop()
     assert peak < A.nbytes / 2
+
+
+# psi and psi_u as each was written on its own before they shared one branch
+# selection, kept verbatim: the shared kernel must give their bits exactly.
+def _reference_psi(u, v, beta):
+    check_beta(beta)
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    u, v = np.broadcast_arrays(u, v)
+    au = np.abs(u)
+    av = np.abs(v)
+    outer = 0.5 * (au - av) ** 2
+    vsq = v * v
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = u / np.where(av > 0, v, 1.0)  # bounded by beta where selected
+        dev = t * t / (2.0 * beta) + beta / 2.0 - 1.0
+        inner = 0.5 * dev * dev * vsq
+    use_inner = (au <= beta * av) & (av > 0)
+    return np.where(use_inner, inner, np.where(av > 0, outer, 0.5 * u * u))
+
+
+def _reference_psi_u(u, v, beta):
+    check_beta(beta)
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    u, v = np.broadcast_arrays(u, v)
+    au = np.abs(u)
+    av = np.abs(v)
+    outer = np.sign(u) * (au - av)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = u / np.where(av > 0, v, 1.0)
+        inner = t * t * u / (2.0 * beta * beta) + (0.5 - 1.0 / beta) * u
+    use_inner = (au <= beta * av) & (av > 0)
+    return np.where(use_inner, inner, np.where(av > 0, outer, u))
+
+
+def _reference_loss_and_gradient(z, A, y, beta):
+    y, w, u = _products(z, A, y)
+    c = _reference_psi_u(u, y, beta)
+    if np.iscomplexobj(w):
+        c = c * np.where(u > 0, w / np.where(u > 0, u, 1.0), 0.0)
+    return float(np.mean(_reference_psi(u, y, beta))), (A.T @ c) / y.shape[0]
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()  # signed zeros and NaN payloads included
+
+
+# signed zeros, the smallest subnormal, the branch boundary |u| = beta |v|
+# (u = 1, v = 2 at beta = 1/2) and +-1e300, where the outer branch overflows
+EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.25, -0.5, 1.0, -1.0, 2.0,
+                  -2.0, 4.0, 3.7, 1e150, 1e300, -1e300])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("beta", [0.5, 0.25, 0.75, 1e-3])
+def test_psi_and_psi_u_keep_their_bits_on_every_branch(beta):
+    u, v = np.meshgrid(EDGES, EDGES)
+    cases = [(u, v), (0.0, -0.0), (-0.0, 0.0), (1.0, 2.0), (-1.0, -2.0),
+             (0.3, EDGES), (EDGES, 1.5), (EDGES[:, None], EDGES[None, ::-1])]
+    for a, b in cases:
+        assert_same_bits(psi(a, b, beta), _reference_psi(a, b, beta))
+        assert_same_bits(psi_u(a, b, beta), _reference_psi_u(a, b, beta))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_psi_and_psi_u_keep_their_bits_with_an_array_beta():
+    # the form suite_calculus passes: u, v and beta drawn together
+    rng = rng_for(31)
+    u = np.concatenate([5.0 * rng.standard_normal(2000), EDGES, 0.5 * EDGES])
+    v = np.concatenate([5.0 * rng.standard_normal(2000), EDGES[::-1], EDGES])
+    b = np.concatenate([rng.uniform(1e-3, 0.75, 2000), np.full(2 * EDGES.size, 0.5)])
+    assert_same_bits(psi(u, v, b), _reference_psi(u, v, b))
+    assert_same_bits(psi_u(u, v, b), _reference_psi_u(u, v, b))
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_loss_and_gradient_keeps_the_bits_of_the_separate_kernels(field):
+    x = gen_signal(16, field, seed=32)
+    A = gen_sensing(80, 16, field, seed=32)
+    y = observe(A, x)
+    y[::7] = 0.0  # magnitudes with zeros take psi's v = 0 branch
+    starts = [x, -x, 0.5 * x, np.zeros_like(x)] + [gen_signal(16, field, seed=s)
+                                                   for s in (33, 34, 35)]
+    for z in starts:
+        f, g = loss_and_gradient(z, A, y, 0.5)
+        f_ref, g_ref = _reference_loss_and_gradient(z, A, y, 0.5)
+        assert_same_bits(f, f_ref)
+        assert_same_bits(g, g_ref)
+        assert_same_bits(gradient(z, A, y, 0.5), g_ref)
+
+
+def test_loss_and_gradient_checks_beta_once(monkeypatch, real_instance):
+    # one branch selection per SAF iterate: beta is validated once, not per kernel
+    x, A, y = real_instance
+    calls = []
+    check = calculus.check_beta
+    monkeypatch.setattr(calculus, "check_beta", lambda beta: calls.append(beta) or check(beta))
+    loss_and_gradient(gen_signal(8, REAL, seed=36), A, y, 0.5)
+    assert calls == [0.5]
+
+
+def test_psi_and_psi_u_peak_stays_below_psi_alone():
+    # psi alone held about 9.3 m-vectors at its peak; a kernel that keeps
+    # every temporary to the end holds 13, and at m = 8000 page-faults on
+    # every SAF iterate
+    rng = rng_for(37)
+    u, v = rng.standard_normal(8000), np.abs(rng.standard_normal(8000))
+    tracemalloc.start()
+    try:
+        calculus._psi_and_psi_u(u, v, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.3 * u.nbytes

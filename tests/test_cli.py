@@ -66,6 +66,14 @@ def test_solve_unknown_algorithm(tmp_path):
     assert code == 2
 
 
+def test_solve_rejects_a_label_that_ends_in_a_dash(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli(["solve", "--n", "8", "--m", "48", "--algorithm", "wf-", "--out", str(out)])
+    assert code == 2
+    assert "'wf-'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_solve_divergence_exits_1_with_trace(tmp_path):
@@ -288,6 +296,8 @@ BENCH = '"n": 8, "m_over_n": 6, '
     ("bench", '{' + BENCH + '"algorithms": []}', "algorithms"),
     ("bench", '{' + BENCH + '"algorithms": ["newton"]}', "algorithms"),
     ("sweep", '{' + SUCCESS + '"algorithms": ["saf-warm"]}', "algorithms"),
+    ("sweep", '{' + SUCCESS + '"algorithms": ["saf-"]}', "'saf-'"),
+    ("bench", '{' + BENCH + '"algorithms": ["saf", "wf-"]}', "'wf-'"),
     ("bench", '{' + BENCH + '"thresholds": [1e-5, NaN]}', "thresholds"),
     ("sweep", '[{"mode": "success", "n": 8}]', "JSON object"),
     # ratios that give m = round(ratio * n) = 0 measurements

@@ -11,6 +11,7 @@ from saflow.solvers import (
     baseline_solve,
     gd_saf,
     make_init,
+    parse_algorithm,
     random_init,
     solve,
     spectral_init,
@@ -142,6 +143,13 @@ def test_start_checks_raise(instance, build):
     x, A, y = instance
     with pytest.raises(ValueError):
         build(A, y)
+
+
+@pytest.mark.parametrize("label", ["saf-", "wf-", "taf-", "-", "saf--random"])
+def test_parse_algorithm_rejects_a_bare_dash(label):
+    # a dash promises an init kind; a label that stops at it is a typo
+    with pytest.raises(ValueError, match=f"unknown algorithm {label!r}"):
+        parse_algorithm(label)
 
 
 def test_spectral_init_complex():
