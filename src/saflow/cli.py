@@ -11,6 +11,10 @@ Exit codes: 0 success, 1 numerical failure (divergence / failed checks),
 2 usage or config error.  All outputs are deterministic functions of
 (flags, config, base seed); rerunning with --threads 1 reproduces files
 byte for byte (bench timing excepted unless --no-timing is given).
+
+verify runs its independent Monte Carlo passes on up to one process per
+available CPU, this one included, and writes the same bytes at any count;
+under `taskset -c 0` it runs serially and starts no process.
 """
 
 from __future__ import annotations
@@ -244,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="JSON config path (see README for its keys)")
     p.add_argument("--out", default=".")
     p.add_argument("--threads", type=_positive_int, default=None,
-                   help="trial pool size; 1 (default, or SAF_THREADS) is bit-exact")
+                   help="processes that solve trials, this one included; "
+                        "1 (default, or SAF_THREADS) is bit-exact")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import astuple, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .distances import SUCCESS_THRESHOLD, success
 from .measurement import (
     REAL, add_noise, check_field, gen_sensing, gen_signal, observe, trial_seed,
 )
+from .parallel import ordered_map
 from .reporting import write_csv
 from .solvers import POWER_ITERS, GdConfig, make_init, parse_algorithm, solve
 
@@ -123,14 +125,10 @@ def _run_trial(spec: ExperimentSpec, m: int, seed: int, thresholds: tuple) -> li
 
 def _map_trials(spec: ExperimentSpec, m: int, seeds: list, threads: int,
                 thresholds: tuple = ()) -> list[list[dict]]:
-    """_run_trial(spec, m, seed, thresholds) per seed, gathered in seed order."""
-    if threads <= 1:
-        return [_run_trial(spec, m, seed, thresholds) for seed in seeds]
-    from concurrent.futures import ProcessPoolExecutor  # not loaded by serial runs
-    k = len(seeds)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_run_trial, [spec] * k, [m] * k, seeds, [thresholds] * k,
-                             chunksize=4))
+    """_run_trial(spec, m, seed, thresholds) per seed, on up to `threads`
+    processes, gathered in seed order."""
+    return ordered_map([partial(_run_trial, spec, m, seed, thresholds) for seed in seeds],
+                       threads)
 
 
 def run_success_sweep(spec: ExperimentSpec, threads: int = 1) -> list[SuccessRow]:

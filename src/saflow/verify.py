@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 
 from . import landscape as ls
 from .calculus import dir_second_derivative, gradient, loss, phi, psi_u
 from .measurement import REAL, gen_sensing, gen_signal, observe, rng_for
+from .parallel import ordered_map
 from .reporting import CheckResult
 
 SUITES = ("calculus", "expectations", "landscape", "appendix", "all")
@@ -243,8 +245,9 @@ def suite_expectations(quick: bool = False, seed: int = 0) -> list[CheckResult]:
                    repr(integrated), ls.MC_EXPECTATION_STREAM, (g, sigma, lam, None),
                    within(integrated, 1e-9))
 
-    ests = {stream: ls._mc_estimates(st, samples, seed, stream)
-            for stream, st in stats.items()}
+    # the two streams' passes are independent: a worker runs the second
+    ests = dict(zip(stats, ordered_map(partial(ls._mc_estimates, st, samples, seed, stream)
+                                       for stream, st in stats.items())))
     out = []
     for row in rows:
         if not isinstance(row, CheckResult):
@@ -276,6 +279,24 @@ def g_saddle_weight(t, s):
 def suite_landscape(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     rows: list[CheckResult] = []
     samples = 1_000_000 if quick else ls.MC_DEFAULT_SAMPLES
+    n, mult = 64, 6
+    seeds = (seed,) if quick else tuple(seed + k for k in range(5))
+
+    # the instance scans and the Monte Carlo pass below depend on nothing else,
+    # so a worker runs the pass while this process scans; the scans stay here
+    # because their BLAS calls would compete with this process's BLAS threads
+    def scan_instances():
+        return [ls.landscape_scan(
+            n, mult * n, 0.5,
+            norm_grid=(0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 1.0, 1.2, 1.5),
+            sigma_grid=(0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99875, 0.9995),
+            w_samples=4 if quick else 8,
+            directions=16 if quick else 32,
+            seed=s) for s in seeds]
+
+    scans, (est,) = ordered_map([
+        scan_instances,
+        partial(ls._mc_estimates, [(g_saddle_weight, 0.0, np.inf, None)], samples, seed, 11)])
 
     # saddle curvature: negative over the whole admissible smoothing range
     betas = np.round(np.arange(0.01, 0.7501, 0.01), 4)
@@ -290,7 +311,6 @@ def suite_landscape(quick: bool = False, seed: int = 0) -> list[CheckResult]:
 
     # independent Monte Carlo of the same curvature expectation: sigma = 0
     # makes U = W independent of V, and lam = inf drops the indicator
-    est = ls._mc_estimates([(g_saddle_weight, 0.0, np.inf, None)], samples, seed, 11)[0]
     rows.append(CheckResult("saddle_curvature_mc", f"{samples} samples",
                             repr(target), f"{est.mean!r} (se={est.std_error:.2e})",
                             "3 std errors", abs(est.mean - target) <= 3 * est.std_error))
@@ -349,18 +369,9 @@ def suite_landscape(quick: bool = False, seed: int = 0) -> list[CheckResult]:
                             worst_db > 0))
 
     # empirical scan over fresh instances
-    n, mult = 64, 6
-    seeds = (seed,) if quick else tuple(seed + k for k in range(5))
     radial_ok, curv_ok, convex_ok = True, True, True
     worst_radial, worst_curv, worst_convex = math.inf, -math.inf, math.inf
-    for s in seeds:
-        pts = ls.landscape_scan(
-            n, mult * n, 0.5,
-            norm_grid=(0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 1.0, 1.2, 1.5),
-            sigma_grid=(0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99875, 0.9995),
-            w_samples=4 if quick else 8,
-            directions=16 if quick else 32,
-            seed=s)
+    for pts in scans:
         for p in pts:
             if p.norm_z >= ls.region_radius(p.sigma) + 0.1:
                 worst_radial = min(worst_radial, p.radial_grad)

@@ -79,6 +79,35 @@ print(json.dumps(sorted(m for m in sys.modules if m == "saflow.quadpack")))
     assert _run_fresh(script) == []
 
 
+def test_import_saflow_cli_loads_no_process_pool():
+    # the pool's module is imported by the first map that needs a pool,
+    # which the set-up of every command should not pay
+    script = """
+import json, sys
+import saflow.cli
+print(json.dumps(sorted(m for m in sys.modules if m == "concurrent.futures.process")))
+"""
+    assert _run_fresh(script) == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_verify_output_does_not_depend_on_the_cpu_count(tmp_path, cpus):
+    # at one CPU the pieces run in-process and no pool is loaded; at two they
+    # run on a pool that is gone when verify returns; the bytes are the same
+    script = f"""
+import json, multiprocessing, sys
+import saflow.cli, saflow.parallel
+saflow.parallel.available_cpus = lambda: {cpus}
+code = saflow.cli.main(["verify", "all", "--quick", "--seed", "0",
+                        "--out", {str(tmp_path)!r}])
+print(json.dumps({{"code": code, "pool": "concurrent.futures.process" in sys.modules,
+                  "children": len(multiprocessing.active_children())}}))
+"""
+    assert _run_fresh(script) == {"code": 0, "pool": cpus > 1, "children": 0}
+    got = (tmp_path / "verify_all.csv").read_bytes()
+    assert got == (ROOT / "tests" / "golden" / "verify_all.csv").read_bytes()
+
+
 def test_verify_loads_no_scipy(tmp_path):
     # the quadratures are saflow's own (landscape.quad), so verify, which
     # runs all 162 of them, needs no scipy
