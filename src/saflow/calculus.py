@@ -116,16 +116,6 @@ def _check_dims(z, A, y):
         raise ValueError(f"dimension mismatch: A is {A.shape}, y has length {y.shape[0]}")
 
 
-def _products(z, A, y):
-    """The body loss, gradient and loss_and_gradient share: the magnitudes y,
-    checked against A and z, the products w = <a_i, z> (one forward matvec)
-    and psi's first argument u, which is w on real data and |w| on complex."""
-    y = np.asarray(y, dtype=float)
-    _check_dims(z, A, y)
-    w = pair(A, z)
-    return y, w, (np.abs(w) if np.iscomplexobj(w) else w)
-
-
 def _gradient(A, y, w, u, c):
     """mean_i c_i a_i, times the phase w_i/|w_i| (0 where w_i = 0) on complex data."""
     if np.iscomplexobj(w):
@@ -139,8 +129,7 @@ def loss(z: np.ndarray, A: np.ndarray, y, beta: float = DEFAULT_BETA) -> float:
     Real z uses the signed products <a_i, z>; complex z uses their moduli
     (psi is even in u, so the two agree on real data).
     """
-    y, _, u = _products(z, A, y)
-    return float(np.mean(psi(u, y, beta)))
+    return loss_and_gradient(z, A, y, beta)[0]
 
 
 def gradient(z: np.ndarray, A: np.ndarray, y, beta: float = DEFAULT_BETA) -> np.ndarray:
@@ -151,13 +140,17 @@ def gradient(z: np.ndarray, A: np.ndarray, y, beta: float = DEFAULT_BETA) -> np.
     contribution where <a_i, z> = 0; it reduces to the real formula when
     imaginary parts vanish.
     """
-    y, w, u = _products(z, A, y)
-    return _gradient(A, y, w, u, psi_u(u, y, beta))
+    return loss_and_gradient(z, A, y, beta)[1]
 
 
 def loss_and_gradient(z, A, y, beta: float = DEFAULT_BETA):
-    """Loss and gradient sharing one forward matvec (used by the solver loop)."""
-    y, w, u = _products(z, A, y)
+    """Loss and gradient from one forward matvec and one branch selection: the
+    body behind loss and gradient, and the solver loop's call.  psi's first
+    argument u is <a_i, z> on real data and |<a_i, z>| on complex."""
+    y = np.asarray(y, dtype=float)
+    _check_dims(z, A, y)
+    w = pair(A, z)
+    u = np.abs(w) if np.iscomplexobj(w) else w
     f, c = _psi_and_psi_u(u, y, beta)
     return float(np.mean(f)), _gradient(A, y, w, u, c)
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -40,7 +39,7 @@ from .metrics import (
     write_iteration_csv,
     write_success_csv,
 )
-from .reporting import all_passed, write_report_csv
+from .reporting import write_report_csv
 from .solvers import ALGORITHMS, GdConfig, make_init, parse_algorithm, solve as run_solver
 from .verify import SUITES, run_suite
 
@@ -129,16 +128,6 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    text = os.environ.get("SAF_THREADS", "1")
-    try:
-        return _positive_int(text)
-    except (ValueError, argparse.ArgumentTypeError):
-        raise ValueError(f"SAF_THREADS must be a positive integer, got {text!r}") from None
-
-
 def cmd_solve(args) -> int:
     config = GdConfig(mu=args.mu, beta=args.beta, max_iter=args.max_iter,
                       grad_tol=args.grad_tol, err_tol=args.err_tol)
@@ -168,15 +157,14 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, spec = _load_config(args.config, "sweep")
-    threads = _threads(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     if cfg["mode"] == "success":
-        rows = run_success_sweep(spec, threads=threads)
+        rows = run_success_sweep(spec, threads=args.threads)
         path = outdir / "success.csv"
         write_success_csv(rows, path)
     else:
-        rows = run_beta_sweep(spec, threads=threads)
+        rows = run_beta_sweep(spec, threads=args.threads)
         path = outdir / "beta.csv"
         write_beta_csv(rows, path)
     print(f"wrote {path}")
@@ -184,9 +172,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg, spec = _load_config(args.config, "bench")
-    thresholds = {"thresholds": tuple(cfg["thresholds"])} if "thresholds" in cfg else {}
-    rows = run_iteration_table(spec, threads=_threads(args), **thresholds)
+    _, spec = _load_config(args.config, "bench")
+    rows = run_iteration_table(spec, threads=args.threads)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "iterations.csv"
@@ -206,7 +193,7 @@ def cmd_verify(args) -> int:
     for r in failed:
         print(f"FAIL {r.check_id} [{r.input}] expected {r.expected} "
               f"got {r.actual} (tol {r.tolerance})")
-    return 0 if all_passed(rows) else 1
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
                "or beta.csv (beta,init,success_rate) per the config's mode")
     p.add_argument("config", help="JSON config path (see README for its keys)")
     p.add_argument("--out", default=".")
-    p.add_argument("--threads", type=_positive_int, default=None,
+    p.add_argument("--threads", type=_positive_int, default=1,
                    help="processes that solve trials, this one included; "
-                        "1 (default, or SAF_THREADS) is bit-exact")
+                        "1 (default) is bit-exact")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
@@ -258,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
                "(algorithm,init,threshold,median_iters,mean_seconds)")
     p.add_argument("config")
     p.add_argument("--out", default=".")
-    p.add_argument("--threads", type=_positive_int, default=None)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--no-timing", action="store_true", dest="no_timing",
                    help="zero the wall-clock column for byte-reproducible output")
     p.set_defaults(func=cmd_bench)

@@ -1,4 +1,4 @@
-"""Experiment drivers: success-rate sweeps, convergence traces, iteration tables.
+"""Experiment drivers: success-rate sweeps, beta sweeps, iteration tables.
 
 Every driver is a deterministic function of its spec: trial seeds derive
 from the base seed via the splittable scheme in saflow.measurement, fresh
@@ -46,6 +46,7 @@ class ExperimentSpec:
     beta_grid: tuple = tuple(np.round(np.arange(0.1, 1.01, 0.1), 2))
     m_over_n_random: float = 4.0
     m_over_n_spectral: float = 2.5
+    thresholds: tuple = (1e-5, 1e-10)
 
     def __post_init__(self):
         check_field(self.field)
@@ -64,6 +65,8 @@ class ExperimentSpec:
             if any(int(round(v * self.n)) < 1 for v in values):
                 raise ValueError(f"{key} must give m = round({key} * n) >= 1 at n={self.n}, "
                                  f"got {getattr(self, key)}")
+        if not (self.thresholds and all(0 < t < np.inf for t in self.thresholds)):
+            raise ValueError(f"thresholds must be finite and positive, got {self.thresholds}")
         if not (self.beta_grid and all(0 < b <= 1 for b in self.beta_grid)):
             raise ValueError(f"beta_grid values must lie in (0, 1], got {self.beta_grid}")
         if not self.algorithms:
@@ -149,28 +152,23 @@ def run_success_sweep(spec: ExperimentSpec, threads: int = 1) -> list[SuccessRow
     return rows
 
 
-def run_iteration_table(
-    spec: ExperimentSpec, thresholds=(1e-5, 1e-10), threads: int = 1
-) -> list[IterationRow]:
-    """Median iterations to each relative-error threshold, per algorithm.
+def run_iteration_table(spec: ExperimentSpec, threads: int = 1) -> list[IterationRow]:
+    """Median iterations to each relative-error threshold of the spec, per algorithm.
 
     All algorithms solve the same per-trial instances, each drawn once.
     Wall time is reported for context only; it is hardware-dependent.
     """
-    thresholds = tuple(thresholds)
-    if not (thresholds and all(0 < t < np.inf for t in thresholds)):
-        raise ValueError(f"thresholds must be finite and positive, got {thresholds}")
     if len(spec.m_over_n) != 1:
         raise ValueError(f"an iteration table takes one m_over_n, got {spec.m_over_n}")
     m = int(round(spec.m_over_n[0] * spec.n))
-    trial_spec = replace(spec, config=replace(spec.config, err_tol=min(thresholds)))
+    trial_spec = replace(spec, config=replace(spec.config, err_tol=min(spec.thresholds)))
     seeds = [trial_seed(spec.base_seed, 0, ti) for ti in range(spec.trials)]
-    results = _map_trials(trial_spec, m, seeds, threads, thresholds)
+    results = _map_trials(trial_spec, m, seeds, threads, spec.thresholds)
     rows = []
     for ai, algorithm in enumerate(spec.algorithms):
         base, init_kind = parse_algorithm(algorithm)
         mean_seconds = float(np.mean([r[ai]["seconds"] for r in results]))
-        for thr in thresholds:
+        for thr in spec.thresholds:
             iters = [r[ai]["iters_to"][thr] for r in results]
             rows.append(IterationRow(
                 algorithm=base,

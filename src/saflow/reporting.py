@@ -36,7 +36,3 @@ def write_csv(path, header: str, rows) -> None:
 
 def write_report_csv(rows: list[CheckResult], path) -> None:
     write_csv(path, "check_id,input,expected,actual,tolerance,pass", map(astuple, rows))
-
-
-def all_passed(rows: list[CheckResult]) -> bool:
-    return all(r.passed for r in rows)

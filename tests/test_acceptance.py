@@ -97,8 +97,8 @@ def test_criterion_2_iteration_ordering():
         n=200, field="real", m_over_n=(8,), trials=11,
         config=GdConfig(mu=0.8, beta=0.5, max_iter=3000),
         algorithms=("saf-spectral", "saf-random", "wf", "twf", "taf"),
-        base_seed=0, power_iters=50)
-    rows = run_iteration_table(spec, thresholds=(1e-5,))
+        base_seed=0, power_iters=50, thresholds=(1e-5,))
+    rows = run_iteration_table(spec)
     med = {(r.algorithm, r.init): r.median_iters for r in rows}
     saf_s = med[("saf", "spectral")]
     saf_r = med[("saf", "random")]

@@ -327,23 +327,20 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, command, text, name
 
 @pytest.mark.parametrize("command", ["sweep", "bench"])
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
-def test_bad_saf_threads_exits_2_naming_it(tmp_path, capsys, monkeypatch, command, value):
+def test_bad_saf_threads_exits_2_naming_it(tmp_path, capsys, command, value):
     path = tmp_path / "cfg.json"
     path.write_text('{' + (SUCCESS if command == "sweep" else BENCH) + '"trials": 1}')
     out = tmp_path / "out"
-    monkeypatch.setenv("SAF_THREADS", value)
-    assert run_cli([command, str(path), "--out", str(out)]) == 2
-    assert "SAF_THREADS" in capsys.readouterr().err
+    assert run_cli([command, str(path), "--out", str(out), f"--threads={value}"]) == 2
+    assert "--threads" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_saf_threads_sets_the_pool_size(tmp_path, monkeypatch):
+def test_saf_threads_sets_the_pool_size(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{' + SUCCESS + '"m_over_n": [4], "trials": 4}')
-    monkeypatch.setenv("SAF_THREADS", "1")
-    assert run_cli(["sweep", str(path), "--out", str(tmp_path / "one")]) == 0
-    monkeypatch.setenv("SAF_THREADS", "2")
-    assert run_cli(["sweep", str(path), "--out", str(tmp_path / "two")]) == 0
+    assert run_cli(["sweep", str(path), "--out", str(tmp_path / "one"), "--threads", "1"]) == 0
+    assert run_cli(["sweep", str(path), "--out", str(tmp_path / "two"), "--threads", "2"]) == 0
     assert ((tmp_path / "two" / "success.csv").read_bytes()
             == (tmp_path / "one" / "success.csv").read_bytes())
 

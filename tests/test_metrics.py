@@ -254,7 +254,6 @@ def test_iteration_table_takes_one_m_over_n():
 
 
 def test_iteration_table_rejects_bad_thresholds():
-    spec = ExperimentSpec(n=8, m_over_n=(6,), trials=1)
     for thresholds in ((), (1e-5, float("nan")), (0.0,)):
         with pytest.raises(ValueError, match="thresholds"):
-            run_iteration_table(spec, thresholds=thresholds)
+            ExperimentSpec(n=8, m_over_n=(6,), trials=1, thresholds=thresholds)

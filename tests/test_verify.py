@@ -7,7 +7,7 @@ import saflow.landscape as ls
 from saflow.calculus import phi
 from saflow.measurement import rng_for
 
-from saflow.reporting import all_passed, write_report_csv
+from saflow.reporting import write_report_csv
 from saflow.verify import g_saddle_weight, run_suite
 
 
@@ -31,7 +31,7 @@ def test_report_csv_format(tmp_path):
     assert lines[0] == "check_id,input,expected,actual,tolerance,pass"
     assert len(lines) == len(rows) + 1
     assert all(line.endswith(("true", "false")) for line in lines[1:])
-    assert all_passed(rows)
+    assert all(r.passed for r in rows)
 
 
 def test_saddle_mc_bitwise_equal_to_its_own_loop():
