@@ -18,7 +18,6 @@ from .calculus import (
 )
 from .distances import dist, success
 from .landscape import (
-    LandscapeCoords,
     MCEstimate,
     expected_abs_uv,
     expected_sgnuv_vsq,

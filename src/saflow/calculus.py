@@ -27,7 +27,7 @@ import warnings
 
 import numpy as np
 
-from .measurement import pair
+from .measurement import checked_magnitudes, pair
 
 DEFAULT_BETA = 0.5
 
@@ -167,7 +167,7 @@ def dir_second_derivative(
     """
     if np.iscomplexobj(z) or np.iscomplexobj(A) or np.iscomplexobj(v):
         raise NotImplementedError("directional second derivative is real-field only")
-    y = np.asarray(y, dtype=float)
+    y = checked_magnitudes(y)
     _check_dims(z, A, y)
     if np.linalg.norm(v) == 0:
         raise ValueError("direction v must be nonzero")

@@ -41,33 +41,24 @@ def quad(func, a: float, b: float) -> tuple[float, float]:
     return quadpack_quad(func, a, b)
 
 
-@dataclass(frozen=True)
-class LandscapeCoords:
-    """Alignment/scale coordinates (sigma, lam, beta) with derived quantities."""
+def _tau(sigma: float) -> float:
+    """tau = sqrt(1 - sigma^2), the weight of W in U = sigma V + tau W."""
+    if not 0.0 <= sigma <= 1.0:
+        raise ValueError(f"sigma must lie in [0, 1], got {sigma!r}")
+    return math.sqrt(max(1.0 - sigma * sigma, 0.0))
 
-    sigma: float
-    lam: float
-    beta: float = DEFAULT_BETA
 
-    def __post_init__(self):
-        if not 0.0 <= self.sigma <= 1.0:
-            raise ValueError("sigma must lie in [0, 1]")
-        if not 0.0 < self.lam < math.inf:
-            raise ValueError(f"lam must be positive and finite, got {self.lam!r}")
-        check_beta(self.beta)
-
-    @property
-    def tau(self) -> float:
-        return math.sqrt(max(1.0 - self.sigma * self.sigma, 0.0))
-
-    def mu_sq(self) -> tuple[float, float]:
-        """(mu_plus^2, mu_minus^2) = (1 + lam^2 +- 2 sigma lam)/tau^2."""
-        t2 = self.tau * self.tau
-        if t2 == 0:
-            raise ValueError("singular coordinates: tau = 0")
-        base = 1.0 + self.lam * self.lam
-        cross = 2.0 * self.sigma * self.lam
-        return (base + cross) / t2, (base - cross) / t2
+def _mu_sq(sigma: float, lam: float) -> tuple[float, float, float]:
+    """(mu_plus^2, mu_minus^2, tau), mu_+-^2 = (1 + lam^2 +- 2 sigma lam)/tau^2."""
+    tau = _tau(sigma)
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam!r}")
+    t2 = tau * tau
+    if t2 == 0:
+        raise ValueError("singular coordinates: tau = 0")
+    base = 1.0 + lam * lam
+    cross = 2.0 * sigma * lam
+    return (base + cross) / t2, (base - cross) / t2, tau
 
 
 @dataclass(frozen=True)
@@ -79,17 +70,13 @@ class MCEstimate:
 
 def expected_abs_uv(sigma: float) -> float:
     """E|UV| = (2/pi)(tau + sigma * arctan(sigma/tau)); equals 1 at sigma = 1."""
-    if not 0.0 <= sigma <= 1.0:
-        raise ValueError("sigma must lie in [0, 1]")
-    tau = math.sqrt(max(1.0 - sigma * sigma, 0.0))
+    tau = _tau(sigma)
     return (2.0 / math.pi) * (tau + sigma * math.atan2(sigma, tau))
 
 
 def expected_sgnuv_vsq(sigma: float) -> float:
     """E[sgn(UV) V^2] = (2/pi)(tau*sigma + arctan(sigma/tau)); equals 1 at sigma = 1."""
-    if not 0.0 <= sigma <= 1.0:
-        raise ValueError("sigma must lie in [0, 1]")
-    tau = math.sqrt(max(1.0 - sigma * sigma, 0.0))
+    tau = _tau(sigma)
     return (2.0 / math.pi) * (tau * sigma + math.atan2(sigma, tau))
 
 
@@ -137,15 +124,14 @@ def _mc_estimates(stats, samples: int, seed: int, stream: int) -> list[MCEstimat
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    groups: dict[float, dict] = {}
+    groups: dict[tuple[float, float], dict] = {}
     for i, (g, sigma, lam, h) in enumerate(stats):
-        if not 0.0 <= sigma <= 1.0:
-            raise ValueError(f"sigma must lie in [0, 1], got {sigma!r}")
+        tau = _tau(sigma)
         if not lam > 0.0:  # lam = inf is the unrestricted expectation
             raise ValueError(f"lam must be positive, got {lam!r}")
         if h is not None and not 0 < h < lam:
             raise ValueError("need 0 < h < lam")
-        groups.setdefault(sigma, {}).setdefault(g, []).append(i)
+        groups.setdefault((sigma, tau), {}).setdefault(g, []).append(i)
 
     def score(a: int, b: int) -> np.ndarray:
         """Each statistic's sum (row 0) and sum of squares (row 1) over draws a..b-1."""
@@ -155,8 +141,7 @@ def _mc_estimates(stats, samples: int, seed: int, stream: int) -> list[MCEstimat
         # |U| <= inf |V| fails only where V == 0, so without such a draw the
         # lam = inf mask is all true and gv * 1.0 == gv: it is not built
         v_nonzero = av.min() > 0
-        for sigma, by_g in groups.items():
-            tau = math.sqrt(max(1.0 - sigma * sigma, 0.0))
+        for (sigma, tau), by_g in groups.items():
             u = sigma * v_ab
             u += tau * w[a:b]
             au = np.abs(u)
@@ -238,9 +223,7 @@ def indicator_expectation_rate(g, sigma: float, lam: float) -> float:
     The two pieces are summed inside one integrand, so sign-odd g at
     sigma = 0 cancels pointwise and the result is exactly zero.
     """
-    coords = LandscapeCoords(sigma=sigma, lam=lam)
-    mu_p_sq, mu_m_sq = coords.mu_sq()
-    tau = coords.tau
+    mu_p_sq, mu_m_sq, tau = _mu_sq(sigma, lam)
 
     def integrand(v):
         plus = (g(-lam * v, v) + g(lam * v, -v)) * v * math.exp(-0.5 * mu_p_sq * v * v)
@@ -258,12 +241,11 @@ def power_rate_closed_form(p: float, q: float, sigma: float, lam: float,
     Equals (lam^p / (pi tau)) (mu_-^{-(p+q+2)} +- mu_+^{-(p+q+2)}) times the
     half-line Gaussian moment integral; for p + q = 2 the moment equals 2.
     """
-    coords = LandscapeCoords(sigma=sigma, lam=lam)
-    mu_p_sq, mu_m_sq = coords.mu_sq()
+    mu_p_sq, mu_m_sq, tau = _mu_sq(sigma, lam)
     k = p + q + 2.0
     moment = 2.0 ** ((k - 2.0) / 2.0) * math.gamma(k / 2.0)  # int_0^inf t^{k-1} e^{-t^2/2}
     sign = -1.0 if signed else 1.0
-    return (lam ** p / (math.pi * coords.tau)) * (
+    return (lam ** p / (math.pi * tau)) * (
         mu_m_sq ** (-k / 2.0) + sign * mu_p_sq ** (-k / 2.0)
     ) * moment
 
@@ -426,13 +408,12 @@ def rational_integral_report() -> list[CheckResult]:
         ("rational_integral_t_quarter", 0.25, 0.94875, 1e-4),
         ("rational_integral_t_third", 1.0 / 3.0, 1.15135, 1e-4),
     ]
-    for check_id, t, target, tol in cases:
-        val = rational_integral(t)
+    vals = [rational_integral(t) for _, t, _, _ in cases]
+    for (check_id, t, target, tol), val in zip(cases, vals):
         rows.append(CheckResult(check_id, f"t={t:.6g}", repr(target), repr(val),
                                 repr(tol), abs(val - target) <= tol))
     # which surd form belongs to which t, judged by quadrature
-    v_quarter = rational_integral(0.25)
-    v_third = rational_integral(1.0 / 3.0)
+    _, v_quarter, v_third = vals
     rows.append(CheckResult(
         "surd_form_pairing_t_quarter", "t=0.25", repr(surd_3), repr(v_quarter),
         repr(1e-8), abs(v_quarter - surd_3) <= 1e-8))
@@ -623,6 +604,12 @@ def landscape_scan(
     diagnostics are the stable quantities to test.
     """
     check_beta(beta)
+    if n < 2:  # no unit w orthogonal to x
+        raise ValueError(f"n must be >= 2, got {n!r}")
+    for nz in norm_grid:  # a negative norm would flip the alignment it records
+        if not 0.0 < nz < math.inf:
+            raise ValueError(f"norm_grid values must be positive and finite, got {nz!r}")
+    taus = [_tau(sigma) for sigma in sigma_grid]
     for name, count in (("w_samples", w_samples), ("directions", directions)):
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count!r}")
@@ -634,8 +621,7 @@ def landscape_scan(
     rng = rng_for(seed, 6)
     points = []
     for nz in norm_grid:
-        for sigma in sigma_grid:
-            tau = math.sqrt(max(1.0 - sigma * sigma, 0.0))
+        for sigma, tau in zip(sigma_grid, taus):
             radials, aligns, curvs = [], [], []
             min_dir = math.inf
             for _ in range(w_samples):

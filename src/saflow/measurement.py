@@ -53,15 +53,19 @@ def trial_seed(base_seed: int, *key: int) -> int:
 
 
 def checked_magnitudes(y) -> np.ndarray:
-    """y as a float array, raising ValueError at the first non-finite magnitude.
+    """y as a float array, raising ValueError at the first non-finite magnitude,
+    or else at the first negative one.
 
-    Each solve and each spectral initialization check y once; the loss,
-    called on every iterate, only converts it.
+    Each solve, spectral initialization and dir_second_derivative check y
+    once; the loss, called on every iterate and even in y, only converts it.
     """
     y = np.asarray(y, dtype=float)
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise ValueError(f"magnitudes must be finite, got y[{bad[0]}] = {y[bad[0]]}")
+    bad = np.flatnonzero(y < 0)
+    if bad.size:
+        raise ValueError(f"magnitudes must be nonnegative, got y[{bad[0]}] = {y[bad[0]]}")
     return y
 
 
@@ -70,15 +74,19 @@ def pair(A: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (A @ z.conj()).conj()
 
 
+def _gaussian(shape, field: str, rng: np.random.Generator) -> np.ndarray:
+    """Standard Gaussian draws from rng (complex: N(0,1)+iN(0,1) parts)."""
+    check_field(field)
+    if field == REAL:
+        return rng.standard_normal(shape)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def gen_signal(n: int, field: str = REAL, seed: int = 0) -> np.ndarray:
     """Draw a length-n standard Gaussian signal (complex: N(0,1)+iN(0,1) parts)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    check_field(field)
-    rng = rng_for(seed, 0)
-    if field == REAL:
-        return rng.standard_normal(n)
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return _gaussian(n, field, rng_for(seed, 0))
 
 
 def gen_sensing(m: int, n: int, field: str = REAL, seed: int = 0) -> np.ndarray:
@@ -88,11 +96,8 @@ def gen_sensing(m: int, n: int, field: str = REAL, seed: int = 0) -> np.ndarray:
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    check_field(field)
-    rng = rng_for(seed, 1)
-    if field == REAL:
-        return rng.standard_normal((m, n))
-    return (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
+    A = _gaussian((m, n), field, rng_for(seed, 1))
+    return A if field == REAL else A / np.sqrt(2.0)
 
 
 def observe(A: np.ndarray, x: np.ndarray) -> np.ndarray:

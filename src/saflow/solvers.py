@@ -22,7 +22,7 @@ import numpy as np
 from . import constants as C
 from .calculus import DEFAULT_BETA, loss_and_gradient
 from .distances import dist
-from .measurement import REAL, check_field, checked_magnitudes, field_of, pair, rng_for
+from .measurement import REAL, _gaussian, checked_magnitudes, field_of, pair, rng_for
 from .reporting import write_csv
 
 POWER_ITERS = 50  # the default number of spectral-init power iterations
@@ -89,11 +89,7 @@ class SolveTrace:
 
 def random_init(n: int, field_tag: str = REAL, seed: int = 0) -> np.ndarray:
     """Standard Gaussian initial guess, independent of the data."""
-    check_field(field_tag)
-    rng = rng_for(seed, 3)
-    if field_tag == REAL:
-        return rng.standard_normal(n)
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return _gaussian(n, field_tag, rng_for(seed, 3))
 
 
 def spectral_init(A: np.ndarray, y, power_iters: int = POWER_ITERS,

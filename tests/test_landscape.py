@@ -10,23 +10,22 @@ from saflow.measurement import REAL, gen_sensing, gen_signal, observe, rng_for
 
 
 def test_coords_mu_sq():
-    c = ls.LandscapeCoords(sigma=0.0, lam=1.0)
-    assert c.mu_sq() == (2.0, 2.0)
-    c = ls.LandscapeCoords(sigma=0.6, lam=1.0)
-    mp, mm = c.mu_sq()
+    assert ls._mu_sq(0.0, 1.0) == (2.0, 2.0, 1.0)
+    mp, mm, tau = ls._mu_sq(0.6, 1.0)
     assert mp == pytest.approx(5.0)
     assert mm == pytest.approx(1.25)
     assert mp >= mm
-    with pytest.raises(ValueError):
-        ls.LandscapeCoords(sigma=1.0, lam=1.0).mu_sq()
-    with pytest.raises(ValueError):
-        ls.LandscapeCoords(sigma=0.5, lam=0.0)
+    assert tau == ls._tau(0.6) == pytest.approx(0.8)
+    with pytest.raises(ValueError, match="singular"):
+        ls._mu_sq(1.0, 1.0)
+    with pytest.raises(ValueError, match="lam must be positive"):
+        ls._mu_sq(0.5, 0.0)
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_landscape_functions_reject_a_bad_lam(lam):
     g_tsq = lambda t, s: t * t
-    for call in (lambda: ls.LandscapeCoords(sigma=0.5, lam=lam),
+    for call in (lambda: ls._mu_sq(0.5, lam),
                  lambda: ls.indicator_expectation_rate(g_tsq, 0.5, lam),
                  lambda: ls.power_rate_closed_form(2, 0, 0.5, lam),
                  lambda: ls.orthogonal_curvature(lam, 0.5)):
@@ -235,14 +234,13 @@ def test_mc_estimators_reject_bad_sigma_and_lam():
 def test_rate_closed_forms():
     # quadratic families: rate = 2 lam^p/(pi tau) (mu_-^{-4} +- mu_+^{-4})
     for sigma, lam in ((0.25, 0.5), (0.5, 1.0), (0.0, 0.25)):
-        c = ls.LandscapeCoords(sigma=sigma, lam=lam)
-        mp, mm = c.mu_sq()
+        mp, mm, tau = ls._mu_sq(sigma, lam)
         for p, g, signed in (
             (2, lambda t, s: t * t, False),
             (0, lambda t, s: s * s, False),
             (1, lambda t, s: abs(t * s), False),
         ):
-            expect = (2 * lam**p / (math.pi * c.tau)) * (mm**-2 + mp**-2)
+            expect = (2 * lam**p / (math.pi * tau)) * (mm**-2 + mp**-2)
             assert ls.indicator_expectation_rate(g, sigma, lam) == pytest.approx(
                 expect, abs=1e-9)
             assert ls.power_rate_closed_form(p, 2 - p, sigma, lam, signed) == \
@@ -463,3 +461,29 @@ def test_landscape_scan_rejects_an_empty_scan(field, count):
     with pytest.raises(ValueError, match=f"{field} must be >= 1"):
         ls.landscape_scan(12, 60, 0.5, norm_grid=(0.5,), sigma_grid=(0.5,),
                           **{"w_samples": 1, "directions": 2, field: count})
+
+
+@pytest.mark.parametrize("sigma", [1.5, -0.25, math.nan])
+def test_landscape_scan_rejects_a_sigma_outside_the_unit_interval(sigma):
+    # sigma = 1.5 at ||z|| = 0.5 would probe z = 0.75 x, whose distance to x
+    # is 0.25, yet record sigma = 1.5 and dist_to_x = 0
+    with pytest.raises(ValueError, match=r"sigma must lie in \[0, 1\]"):
+        ls.landscape_scan(12, 60, 0.5, norm_grid=(0.5,), sigma_grid=(0.5, sigma),
+                          w_samples=1, directions=2)
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_landscape_scan_rejects_a_signal_without_an_orthogonal_direction(n):
+    # with n = 1 no unit w is orthogonal to x, and the gradients come out NaN
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        ls.landscape_scan(n, 60, 0.5, norm_grid=(0.5,), sigma_grid=(0.5,),
+                          w_samples=1, directions=2)
+
+
+@pytest.mark.parametrize("norm", [-0.5, 0.0, math.inf, math.nan])
+def test_landscape_scan_rejects_a_norm_that_is_not_positive_and_finite(norm):
+    # ||z|| = -0.5 at sigma = 0.5 would probe an iterate of alignment -0.5,
+    # yet record sigma = 0.5
+    with pytest.raises(ValueError, match="norm_grid values must be positive and finite"):
+        ls.landscape_scan(12, 60, 0.5, norm_grid=(0.5, norm), sigma_grid=(0.5,),
+                          w_samples=1, directions=2)

@@ -143,3 +143,13 @@ def test_observations_reject_a_non_finite_magnitude(bad):
         checked_magnitudes([1.0, bad, 2.0])
     with pytest.raises(ValueError, match=r"y\[1\]"):
         checked_magnitudes(np.array([1.0, bad, 2.0]))
+
+
+def test_observations_reject_a_negative_magnitude():
+    with pytest.raises(ValueError, match=r"magnitudes must be nonnegative, got y\[2\] = -0.5"):
+        checked_magnitudes([1.0, 0.0, -0.5, -2.0])
+    # a non-finite entry is named first, wherever it sits
+    with pytest.raises(ValueError, match=r"magnitudes must be finite, got y\[3\]"):
+        checked_magnitudes(np.array([1.0, -0.5, 2.0, np.nan]))
+    # -0.0 is a zero magnitude, not a negative one
+    assert checked_magnitudes([0.0, -0.0, 1.0]).tolist() == [0.0, 0.0, 1.0]

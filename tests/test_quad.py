@@ -66,7 +66,7 @@ def test_quad_equals_scipy_on_every_quadrature_of_verify(monkeypatch, scipy_quad
     pairs = _check_each_call(monkeypatch, scipy_quad)
     for suite in ("calculus", "expectations", "landscape", "appendix"):
         vf.run_suite(suite, quick=True, seed=0)
-    assert len(pairs) == 162
+    assert len(pairs) == 160  # rational_integral_report integrates each t once
     for mine, oracle in pairs:
         assert mine == oracle  # value, error estimate and no warning
 

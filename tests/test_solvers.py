@@ -292,3 +292,18 @@ def test_a_list_of_magnitudes_gives_the_bits_of_an_array(instance):
         return [np.asarray(o).tobytes() for o in out]
 
     assert bits(y.tolist()) == bits(y)
+
+
+def test_solvers_reject_a_negative_magnitude(instance):
+    # TAF's truncation and loss read y's sign, so a negative y would stop it
+    # at max_iter far from x; every entry point that takes y rejects it
+    x, A, y = instance
+    y = y.copy()
+    y[3] = -y[3]
+    config = GdConfig(max_iter=5)
+    v = gen_signal(32, REAL, seed=7)
+    runs = [lambda name=name: solve(name, A, y, config, x.copy()) for name in ALGORITHMS]
+    runs += [lambda: spectral_init(A, y), lambda: dir_second_derivative(x, v, A, y)]
+    for run in runs:
+        with pytest.raises(ValueError, match=r"magnitudes must be nonnegative, got y\[3\]"):
+            run()
