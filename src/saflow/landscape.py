@@ -619,37 +619,44 @@ def landscape_scan(
     y = observe(A, x)
     ax = A @ x
     rng = rng_for(seed, 6)
+    # one norm row of probes (sigma-major, w_samples each) is one block: the
+    # elementwise kernels run once on its (probes, m) arrays, while every
+    # matvec and dot stays one BLAS call per probe, since a batched GEMM
+    # sums in another order than the GEMVs and would change bits
+    sigma_col = np.repeat(np.asarray(sigma_grid, dtype=float), w_samples)[:, None]
+    tau_col = np.repeat(np.asarray(taus), w_samples)[:, None]
     points = []
     for nz in norm_grid:
-        for sigma, tau in zip(sigma_grid, taus):
-            radials, aligns, curvs = [], [], []
-            min_dir = math.inf
-            for _ in range(w_samples):
-                w = rng.standard_normal(n)
-                w -= (w @ x) * x
-                w /= np.linalg.norm(w)
-                z = nz * (sigma * x + tau * w)
-                # gradient, dir_second_derivative along x and
-                # direction_curvatures, sharing A @ z and the weights
-                wz = A @ z
-                weights = _phi_weights(wz, y, beta)
-                g = _gradient(A, y, wz, wz, psi_u(wz, y, beta))
-                radials.append(float(g @ z) / (nz * nz))
-                aligns.append(float(g @ x))
-                curvs.append(float(np.mean(_curvature_terms(weights, wz, ax, y, beta))))
-                dirs = rng.standard_normal((directions, n))
-                dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-                curv = _curvature_terms(weights[:, None], wz[:, None], A @ dirs.T, y[:, None], beta)
-                min_dir = min(min_dir, float(curv.mean(axis=0).min()))
+        # each probe's w, then its directions, in the stream order of a
+        # probe-at-a-time scan
+        draws = rng.standard_normal((len(sigma_col), 1 + directions, n))
+        w = draws[:, 0]
+        w -= np.array([wk @ x for wk in w])[:, None] * x
+        w /= np.array([np.linalg.norm(wk) for wk in w])[:, None]
+        z = nz * (sigma_col * x + tau_col * w)
+        # gradient, dir_second_derivative along x and direction_curvatures,
+        # sharing A @ z and the weights
+        wz = np.array([A @ zk for zk in z])
+        weights = _phi_weights(wz, y, beta)
+        grads = [_gradient(A, y, wzk, wzk, ck) for wzk, ck in zip(wz, psi_u(wz, y, beta))]
+        radials = [float(g @ zk) / (nz * nz) for g, zk in zip(grads, z)]
+        aligns = [float(g @ x) for g in grads]
+        curvs = _curvature_terms(weights, wz, ax, y, beta).mean(axis=1)
+        dirs = draws[:, 1:]
+        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        min_dirs = [float(_curvature_terms(wk[:, None], wzk[:, None], A @ dk.T, y[:, None], beta)
+                          .mean(axis=0).min()) for wk, wzk, dk in zip(weights, wz, dirs)]
+        for i, sigma in enumerate(sigma_grid):
+            probe = slice(i * w_samples, (i + 1) * w_samples)
             points.append(ScanPoint(
                 norm_z=float(nz),
                 sigma=float(sigma),
                 dist_to_x=math.sqrt(max(nz * nz + 1.0 - 2.0 * nz * sigma, 0.0)),
-                radial_grad=float(np.mean(radials)),
-                radial_grad_min=float(np.min(radials)),
-                align_grad=float(np.mean(aligns)),
-                curv_x=float(np.mean(curvs)),
-                curv_x_max=float(np.max(curvs)),
-                min_dir_curv=float(min_dir),
+                radial_grad=float(np.mean(radials[probe])),
+                radial_grad_min=float(np.min(radials[probe])),
+                align_grad=float(np.mean(aligns[probe])),
+                curv_x=float(np.mean(curvs[probe])),
+                curv_x_max=float(np.max(curvs[probe])),
+                min_dir_curv=min(min_dirs[probe]),
             ))
     return points

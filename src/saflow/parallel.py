@@ -31,8 +31,11 @@ def ordered_map(calls, workers: int | None = None) -> list:
 
     workers None means one per available CPU.  This process runs the first
     call while a pool of the other processes starts on the rest; then it
-    runs, last first, each call no worker has started.  A call that raises
-    raises here, and no worker outlives the map.
+    runs, last first, each call the pool has not queued.  A pool of k
+    workers queues k + 1 calls at submit (CPython's EXTRA_QUEUED_CALLS) and
+    one more each time a worker takes one, and a queued call can no longer
+    be cancelled: a worker runs it even while this process waits idle.  A
+    call that raises raises here, and no worker outlives the map.
     """
     calls = list(calls)
     workers = min(available_cpus() if workers is None else workers, len(calls))

@@ -434,9 +434,21 @@ def _reference_scan(n, m, beta, norm_grid, sigma_grid, w_samples, directions, se
     return points
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_landscape_scan_probe_is_bitwise_the_public_functions(seed):
-    args = (32, 192, 0.5, (0.2, 0.65, 1.0), (0.0, 0.9995), 3, 8)
+_SMALL_SCAN = (32, 192, 0.5, (0.2, 0.65, 1.0), (0.0, 0.9995), 3, 8)
+
+
+@pytest.mark.parametrize("args, seed", [
+    pytest.param(_SMALL_SCAN, 0, id="0"),
+    pytest.param(_SMALL_SCAN, 3, id="3"),
+    # verify's full-budget scan of one seed: norm rows of 9 x 8 probes
+    pytest.param((64, 384, 0.5, (0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 1.0, 1.2, 1.5),
+                  (0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99875, 0.9995), 8, 32), 1,
+                 id="verify-full-budget"),
+    pytest.param((16, 96, 0.5, (0.7,), (0.3,), 1, 1), 5, id="one-probe-block"),
+])
+def test_landscape_scan_probe_is_bitwise_the_public_functions(args, seed):
+    # a norm row of probes is scanned as one block; each probe must still
+    # give the bits of the public functions called on it alone
     assert ls.landscape_scan(*args, seed=seed) == _reference_scan(*args, seed)
 
 

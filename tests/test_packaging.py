@@ -110,7 +110,7 @@ print(json.dumps({{"code": code, "pool": "concurrent.futures.process" in sys.mod
 
 def test_verify_loads_no_scipy(tmp_path):
     # the quadratures are saflow's own (landscape.quad), so verify, which
-    # runs all 162 of them, needs no scipy
+    # runs all 160 of them, needs no scipy
     script = f"""
 import json, sys
 import saflow.cli

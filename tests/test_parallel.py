@@ -11,6 +11,7 @@ import pytest
 
 import saflow.landscape as ls
 import saflow.parallel
+import saflow.verify
 from saflow.cli import main
 from saflow.metrics import ExperimentSpec, run_iteration_table, run_success_sweep
 from saflow.parallel import ordered_map
@@ -19,19 +20,22 @@ from saflow.solvers import GdConfig
 
 class FakePool:
     """Stands in for ProcessPoolExecutor and starts no process: records
-    max_workers; its "workers" take the first `taken` calls submitted (run
-    at once) and leave the others pending."""
+    max_workers and models its call queue.  Like the real pool it queues
+    the first max_workers + 1 calls submitted, plus `refills` more as if
+    its workers had taken some; a queued call runs at submit and can no
+    longer be cancelled, and the others stay pending."""
 
     sizes: list = []
-    taken = 0
+    refills = 0
 
     def __init__(self, max_workers):
         FakePool.sizes.append(max_workers)
+        self.queued = max_workers + 1 + FakePool.refills
         self.submitted = 0
 
     def submit(self, fn):
         future = Future()
-        if self.submitted < FakePool.taken:
+        if self.submitted < self.queued:
             future.set_running_or_notify_cancel()
             future.set_result(fn())
         self.submitted += 1
@@ -43,7 +47,7 @@ class FakePool:
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    FakePool.sizes, FakePool.taken = [], 0
+    FakePool.sizes, FakePool.refills = [], 0
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return FakePool
 
@@ -53,16 +57,17 @@ def _logged(log, k):
     return k * k
 
 
-@pytest.mark.parametrize("taken", [0, 2, 4])
-def test_results_keep_the_call_order_wherever_the_calls_run(fake_pool, taken):
-    fake_pool.taken = taken
+@pytest.mark.parametrize("refills", [0, 2, 4])
+def test_results_keep_the_call_order_wherever_the_calls_run(fake_pool, refills):
+    fake_pool.refills = refills
     log = []
-    calls = [partial(_logged, log, k) for k in range(5)]
-    assert ordered_map(calls, 3) == [0, 1, 4, 9, 16]
+    calls = [partial(_logged, log, k) for k in range(7)]
+    assert ordered_map(calls, 3) == [k * k for k in range(7)]
     assert fake_pool.sizes == [2]  # three processes: this one and two workers
-    # the workers take calls 1..taken; this process runs call 0, then the
-    # calls no worker has started, last first
-    assert log == list(range(1, taken + 1)) + [0] + list(range(4, taken, -1))
+    # the pool queues calls 1..3 (two workers + 1) and `refills` more; this
+    # process runs call 0, then the calls the pool has not queued, last first
+    queued = min(3 + refills, 6)
+    assert log == list(range(1, queued + 1)) + [0] + list(range(6, queued, -1))
 
 
 def test_pool_is_no_larger_than_its_work(fake_pool):
@@ -118,4 +123,16 @@ def test_a_verify_worker_error_exits_2(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(ls, "_mc_estimates", _bad_mc)
     assert main(["verify", "landscape", "--quick", "--out", str(tmp_path)]) == 2
     assert "Monte Carlo pass failed" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def _bad_calculus(quick, seed):
+    raise ValueError("calculus suite failed")
+
+
+def test_a_calculus_failure_under_verify_all_exits_2(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(saflow.parallel, "available_cpus", lambda: 2)
+    monkeypatch.setattr(saflow.verify, "suite_calculus", _bad_calculus)
+    assert main(["verify", "all", "--quick", "--out", str(tmp_path)]) == 2
+    assert "calculus suite failed" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
