@@ -33,9 +33,12 @@ _MC_LEAF = 65_536
 def quad(func, a: float, b: float) -> tuple[float, float]:
     """saflow.quadpack.quad(func, a, b), with that module loaded on first use.
 
-    The integral of func over [a, b], b <= inf, and its error estimate.
-    solve, sweep and bench integrate nothing, so they never load (and, with
-    no bytecode cache, never compile) the QUADPACK port.
+    The integral of func over [a, b], b <= inf, and its error estimate, by
+    QUADPACK's Gauss-Kronrod rules under a plain adaptive-bisection (QAG)
+    loop; a RuntimeWarning names why it stopped short of the tolerance, and
+    a non-finite integrand raises ValueError.  solve, sweep and bench
+    integrate nothing, so they never load (and, with no bytecode cache, never
+    compile) that module.
     """
     from .quadpack import quad as quadpack_quad
     return quadpack_quad(func, a, b)

@@ -1,11 +1,8 @@
-"""Adaptive quadrature: QUADPACK's QAGS and QAGI in pure Python.
+"""Adaptive quadrature: QUADPACK's Gauss-Kronrod rules under a plain QAG loop.
 
-The routines are those of Piessens, de Doncker-Kapenga, Ueberhuber and
-Kahaner, QUADPACK (Springer, 1983): dqagse, dqagie, dqk21, dqk15i, dqpsrt
-and dqelg, ported float operation for float operation, so each value and
-error estimate equals scipy.integrate.quad's (the same routines, compiled
-without fused multiply-adds) bit for bit.  The interval lists are 1-based as
-in QUADPACK: index 0 is unused.
+The rules are dqk21 and dqk15i of Piessens, de Doncker-Kapenga, Ueberhuber
+and Kahaner, QUADPACK (Springer, 1983), ported float operation for float
+operation; the loop is dqage's adaptive bisection, with no extrapolation.
 """
 
 from __future__ import annotations
@@ -17,9 +14,7 @@ import warnings
 EPSABS = 1e-10
 EPSREL = 1e-10
 LIMIT = 200  # most subintervals
-_EPMACH = sys.float_info.epsilon
-_UFLOW = sys.float_info.min
-_OFLOW = sys.float_info.max
+_EPMACH, _UFLOW = sys.float_info.epsilon, sys.float_info.min
 
 # 21-point Gauss-Kronrod rule on [-1, 1]: Kronrod nodes, the odd-indexed ones
 # the 10-point Gauss nodes, and the centre last; the Kronrod and Gauss weights
@@ -55,21 +50,18 @@ _FAILURES = {
     1: f"the maximum number of subintervals ({LIMIT}) has been reached",
     2: "roundoff error keeps the requested tolerance from being reached",
     3: "the integrand behaves extremely badly at some points of the interval",
-    4: "roundoff error in the extrapolation table keeps the algorithm from converging",
-    5: "the integral is probably divergent, or slowly convergent",
 }
 
 
 def quad(func, a: float, b: float) -> tuple[float, float]:
     """Integral of func over [a, b] with b finite or inf, and its error estimate.
 
-    QAGS on a finite interval: the 21-point Gauss-Kronrod rule, bisection of
-    the subinterval with the largest error and epsilon-algorithm
-    extrapolation.  QAGI on [a, inf): the same on (0, 1] after the map
-    x = a + (1 - t)/t, with the 15-point rule.  Both aim at EPSABS and EPSREL
-    with at most LIMIT subintervals.  func takes and returns a float.  When
-    QUADPACK reports that the estimate may miss the tolerance (its ier 1-5),
-    a RuntimeWarning names the reason.
+    The 21-point Gauss-Kronrod rule on [a, b]; for b = inf, the 15-point rule
+    on (0, 1] after QAGI's map x = a + (1 - t)/t.  The subinterval with the
+    largest error is bisected until the summed error meets max(EPSABS, EPSREL
+    |integral|), with at most LIMIT subintervals.  func takes and returns a
+    float.  A RuntimeWarning names the reason when the loop stops short
+    (dqage's ier 1-3); a non-finite integrand raises ValueError.
     """
     a, b = float(a), float(b)
     if not math.isfinite(a):
@@ -77,9 +69,10 @@ def quad(func, a: float, b: float) -> tuple[float, float]:
     if not b > a:  # also rejects a NaN b
         raise ValueError(f"quad needs a < b <= inf, got a={a!r}, b={b!r}")
     if b == math.inf:
-        result, abserr, ier = _qag(lambda lo, hi: _qk15i(func, a, lo, hi), 0.0, 1.0)
+        result, abserr, ier = _qag(lambda lo, hi: _qk15i(func, a, lo, hi), 0.0, 1.0,
+                                   lambda t: a + (1.0 - t) / t if t else math.inf)
     else:
-        result, abserr, ier = _qag(lambda lo, hi: _qk21(func, lo, hi), a, b)
+        result, abserr, ier = _qag(lambda lo, hi: _qk21(func, lo, hi), a, b, float)
     if ier:
         warnings.warn(f"quad over [{a!r}, {b!r}]: {_FAILURES[ier]} (QUADPACK ier={ier});"
                       f" error estimate {abserr:.3g}", RuntimeWarning, stacklevel=2)
@@ -95,14 +88,12 @@ def _qk21(f, a: float, b: float):
     fc = float(f(centr))
     resk = _WGK21[10] * fc
     resabs = abs(resk)
-    fv1 = [0.0] * 10
-    fv2 = [0.0] * 10
+    fv1, fv2 = [0.0] * 10, [0.0] * 10
     for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss nodes first, as dqk21
         absc = hlgth * _XGK21[j]
         fval1 = float(f(centr - absc))
         fval2 = float(f(centr + absc))
-        fv1[j] = fval1
-        fv2[j] = fval2
+        fv1[j], fv2[j] = fval1, fval2
         fsum = fval1 + fval2
         if j % 2:
             resg = resg + _WG10[j // 2] * fsum
@@ -127,16 +118,14 @@ def _qk15i(f, boun: float, a: float, b: float):
     resg = _WG7[7] * fc
     resk = _WGK15[7] * fc
     resabs = abs(resk)
-    fv1 = [0.0] * 7
-    fv2 = [0.0] * 7
+    fv1, fv2 = [0.0] * 7, [0.0] * 7
     for j in range(7):
         absc = hlgth * _XGK15[j]
         absc1 = centr - absc
         absc2 = centr + absc
         fval1 = (float(f(boun + (1.0 - absc1) / absc1)) / absc1) / absc1
         fval2 = (float(f(boun + (1.0 - absc2) / absc2)) / absc2) / absc2
-        fv1[j] = fval1
-        fv2[j] = fval2
+        fv1[j], fv2[j] = fval1, fval2
         fsum = fval1 + fval2
         resg = resg + _WG7[j] * fsum
         resk = resk + _WGK15[j] * fsum
@@ -161,298 +150,59 @@ def _rule_error(abserr: float, resabs: float, resasc: float) -> float:
     return abserr
 
 
-def _qag(rule, a: float, b: float):
-    """dqagse/dqagie with `rule` as the local rule: (result, abserr, ier)."""
-    # names as in dqagse: defabs is the rule's integral of |f|, resabs its
-    # integral of |f - mean|
-    result, abserr, defabs, resabs = rule(a, b)
-    dres = abs(result)
-    errbnd = max(EPSABS, EPSREL * dres)
-    ier = 2 if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd else 0
-    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
+def _qag(rule, a: float, b: float, x_of):
+    """dqage with `rule` as the local rule on [a, b]: (result, abserr, ier).
+
+    x_of maps the rule's variable to func's, to name a non-finite subinterval.
+    """
+    def piece(lo, hi):
+        out = rule(lo, hi)
+        if not (math.isfinite(out[0]) and math.isfinite(out[1])):
+            x_lo, x_hi = sorted((x_of(lo), x_of(hi)))
+            raise ValueError(f"quad: the integrand is not finite on [{x_lo!r}, {x_hi!r}]:"
+                             f" integral {out[0]!r}, error estimate {out[1]!r}")
+        return out
+
+    # as in dqage, defabs is the rule's integral of |f| and resabs of |f - mean|
+    result, abserr, defabs, resabs = piece(a, b)
+    errbnd = max(EPSABS, EPSREL * abs(result))
+    ier = 2 if abserr <= 50.0 * _EPMACH * defabs and abserr > errbnd else 0
+    if ier or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
         return result, abserr, ier
-    size = LIMIT + 1
-    alist, blist, rlist, elist = [0.0] * size, [0.0] * size, [0.0] * size, [0.0] * size
-    iord = [0] * size
-    alist[1], blist[1], rlist[1], elist[1], iord[1] = a, b, result, abserr, 1
-    rlist2 = [0.0] * 53  # the epsilon table, 52 entries
-    res3la = [0.0] * 4   # the last three extrapolated results
-    rlist2[1] = result
-    errmax = abserr
-    maxerr = 1
-    area = result
-    errsum = abserr
-    abserr = _OFLOW
-    nrmax = 1
-    nres = 0
-    numrl2 = 2
-    ktmin = 0
-    extrap = False
-    noext = False
-    ierro = iroff1 = iroff2 = iroff3 = 0
-    ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * defabs else -1
-    small = erlarg = ertest = correc = 0.0
-
+    pieces = [(a, b, result, abserr)]  # (lo, hi, integral, error), in dqage's order
+    area, errsum = result, abserr
+    iroff1 = iroff2 = 0
     for last in range(2, LIMIT + 1):
-        # bisect the subinterval with the nrmax-th largest error estimate
-        a1 = alist[maxerr]
-        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
-        a2 = b1
-        b2 = blist[maxerr]
-        erlast = errmax
-        area1, error1, _, defab1 = rule(a1, b1)
-        area2, error2, _, defab2 = rule(a2, b2)
-        area12 = area1 + area2
-        erro12 = error1 + error2
+        # bisect the subinterval with the largest error estimate
+        maxerr = max(range(len(pieces)), key=lambda k: pieces[k][3])
+        a1, b2, rmax, errmax = pieces[maxerr]
+        b1 = 0.5 * (a1 + b2)
+        area1, error1, _, defab1 = piece(a1, b1)
+        area2, error2, _, defab2 = piece(b1, b2)
+        area12, erro12 = area1 + area2, error1 + error2
         errsum = errsum + erro12 - errmax
-        area = area + area12 - rlist[maxerr]
+        area = area + area12 - rmax
         if defab1 != error1 and defab2 != error2:
-            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12)
-                    or erro12 < 0.99 * errmax):
-                if extrap:
-                    iroff2 += 1
-                else:
-                    iroff1 += 1
+            if abs(rmax - area12) <= 1e-5 * abs(area12) and erro12 >= 0.99 * errmax:
+                iroff1 += 1
             if last > 10 and erro12 > errmax:
-                iroff3 += 1
-        rlist[maxerr] = area1
-        rlist[last] = area2
+                iroff2 += 1
         errbnd = max(EPSABS, EPSREL * abs(area))
-        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
-            ier = 2
-        if iroff2 >= 5:
-            ierro = 3
-        if last == LIMIT:
-            ier = 1
-        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
-            ier = 4
-        if error2 > error1:
-            alist[maxerr] = a2
-            alist[last] = a1
-            blist[last] = b1
-            rlist[maxerr] = area2
-            rlist[last] = area1
-            elist[maxerr] = error2
-            elist[last] = error1
-        else:
-            alist[last] = a2
-            blist[maxerr] = b1
-            blist[last] = b2
-            elist[maxerr] = error1
-            elist[last] = error2
-        maxerr, errmax, nrmax = _qpsrt(last, maxerr, elist, iord, nrmax)
-        if errsum <= errbnd:
-            return _sum_to(rlist, last), errsum, ier - 1 if ier > 2 else ier
-        if ier != 0:
+        if errsum > errbnd:
+            if iroff1 >= 6 or iroff2 >= 20:
+                ier = 2
+            if last == LIMIT:
+                ier = 1
+            if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(b1) + 1000.0 * _UFLOW):
+                ier = 3  # too small to bisect
+        halves = [(a1, b1, area1, error1), (b1, b2, area2, error2)]
+        if error2 > error1:  # the half with the larger error keeps the bisected one's place
+            halves.reverse()
+        pieces[maxerr] = halves[0]
+        pieces.append(halves[1])
+        if ier or errsum <= errbnd:
             break
-        if last == 2:
-            small = abs(b - a) * 0.375
-            erlarg = errsum
-            ertest = errbnd
-            rlist2[2] = area
-            continue
-        if noext:
-            continue
-        erlarg = erlarg - erlast
-        if abs(b1 - a1) > small:
-            erlarg = erlarg + erro12
-        if not extrap:
-            # extrapolate only once the interval to bisect next is the smallest
-            if abs(blist[maxerr] - alist[maxerr]) > small:
-                continue
-            extrap = True
-            nrmax = 2
-        if not (ierro == 3 or erlarg <= ertest):
-            # bisect the larger intervals first while one has a large error
-            jupbnd = last if last <= 2 + LIMIT // 2 else LIMIT + 3 - last
-            larger = False
-            for _ in range(nrmax, jupbnd + 1):
-                maxerr = iord[nrmax]
-                errmax = elist[maxerr]
-                if abs(blist[maxerr] - alist[maxerr]) > small:
-                    larger = True
-                    break
-                nrmax += 1
-            if larger:
-                continue
-        numrl2 += 1
-        rlist2[numrl2] = area
-        numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
-        ktmin += 1
-        if ktmin > 5 and abserr < 1e-3 * errsum:
-            ier = 5
-        if not abseps >= abserr:
-            ktmin = 0
-            abserr = abseps
-            result = reseps
-            correc = erlarg
-            ertest = max(EPSABS, EPSREL * abs(reseps))
-            if abserr <= ertest:
-                break
-        if numrl2 == 1:
-            noext = True
-        if ier == 5:
-            break
-        # go on with the smallest intervals
-        maxerr = iord[1]
-        errmax = elist[maxerr]
-        nrmax = 1
-        extrap = False
-        small = small * 0.5
-        erlarg = errsum
-
-    # the loop ends with a break: take the extrapolated result or the sum
-    if abserr == _OFLOW:
-        use_sum, test_divergence = True, False
-    elif ier + ierro == 0:
-        use_sum, test_divergence = False, True
-    else:
-        if ierro == 3:
-            abserr = abserr + correc
-        if ier == 0:
-            ier = 3
-        if result != 0.0 and area != 0.0:
-            use_sum = abserr / abs(result) > errsum / abs(area)
-        else:
-            use_sum = abserr > errsum
-        test_divergence = not use_sum and area != 0.0
-    if test_divergence and not (ksgn == -1 and max(abs(result), abs(area)) <= defabs * 0.01):
-        # result / area as IEEE divides: only +-inf against nan matters here
-        ratio = result / area if area else (math.inf if abs(result) > 0 else math.nan)
-        if 0.01 > ratio or ratio > 100.0 or errsum > abs(area):
-            ier = 6
-    if use_sum:
-        result, abserr = _sum_to(rlist, last), errsum
-    return result, abserr, ier - 1 if ier > 2 else ier
-
-
-def _sum_to(rlist, last: int) -> float:
-    """rlist[1] + ... + rlist[last], added in that order."""
-    total = 0.0
-    for k in range(1, last + 1):
-        total = total + rlist[k]
-    return total
-
-
-def _qpsrt(last: int, maxerr: int, elist, iord, nrmax: int):
-    """dqpsrt: keep iord ordering the error estimates in elist, descending.
-
-    elist[maxerr] and elist[last] are the two new estimates.  Returns the
-    index and estimate of the subinterval to bisect next, and nrmax.
-    """
-    if last <= 2:
-        iord[1] = 1
-        iord[2] = 2
-    else:
-        errmax = elist[maxerr]
-        for _ in range(nrmax - 1):
-            isucc = iord[nrmax - 1]
-            if errmax <= elist[isucc]:
-                break
-            iord[nrmax] = isucc
-            nrmax -= 1
-        # only as many as can still be bisected are kept in order
-        jupbn = last if last <= LIMIT // 2 + 2 else LIMIT + 3 - last
-        errmin = elist[last]
-        jbnd = jupbn - 1
-        for i in range(nrmax + 1, jbnd + 1):  # insert errmax top-down
-            isucc = iord[i]
-            if errmax >= elist[isucc]:
-                iord[i - 1] = maxerr
-                k = jbnd
-                for _ in range(i, jbnd + 1):  # insert errmin bottom-up
-                    isucc = iord[k]
-                    if errmin < elist[isucc]:
-                        break
-                    iord[k + 1] = isucc
-                    k -= 1
-                else:
-                    iord[i] = last
-                    break
-                iord[k + 1] = last
-                break
-            iord[i - 1] = isucc
-        else:
-            iord[jbnd] = maxerr
-            iord[jupbn] = last
-    maxerr = iord[nrmax]
-    return maxerr, elist[maxerr], nrmax
-
-
-def _qelg(n: int, epstab, res3la, nres: int):
-    """dqelg: the epsilon algorithm on the n partial sums in epstab[1..n].
-
-    Returns the new table length, the extrapolated limit, its error estimate
-    and the count of calls so far.
-    """
-    nres += 1
-    abserr = _OFLOW
-    result = epstab[n]
-    if n < 3:
-        return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
-    limexp = 50
-    epstab[n + 2] = epstab[n]
-    newelm = (n - 1) // 2
-    epstab[n] = _OFLOW
-    num = n
-    k1 = n
-    for i in range(1, newelm + 1):
-        k2 = k1 - 1
-        k3 = k1 - 2
-        res = epstab[k1 + 2]
-        e0 = epstab[k3]
-        e1 = epstab[k2]
-        e2 = res
-        e1abs = abs(e1)
-        delta2 = e2 - e1
-        err2 = abs(delta2)
-        tol2 = max(abs(e2), e1abs) * _EPMACH
-        delta3 = e1 - e0
-        err3 = abs(delta3)
-        tol3 = max(e1abs, abs(e0)) * _EPMACH
-        if not (err2 > tol2 or err3 > tol3):
-            # e0, e1 and e2 agree to machine accuracy: converged
-            result = res
-            abserr = err2 + err3
-            return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
-        e3 = epstab[k1]
-        epstab[k1] = e1
-        delta1 = e1 - e3
-        err1 = abs(delta1)
-        tol1 = max(e1abs, abs(e3)) * _EPMACH
-        if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
-            n = i + i - 1  # two elements agree: drop the rest of the table
-            break
-        ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
-        epsinf = abs(ss * e1)
-        if not epsinf > 1e-4:
-            n = i + i - 1  # irregular behaviour: drop the rest of the table
-            break
-        res = e1 + 1.0 / ss
-        epstab[k1] = res
-        k1 -= 2
-        error = err2 + abs(res - e2) + err3
-        if not error > abserr:
-            abserr = error
-            result = res
-    # shift the table
-    if n == limexp:
-        n = 2 * (limexp // 2) - 1
-    ib = 2 if num % 2 == 0 else 1
-    for _ in range(newelm + 1):
-        epstab[ib] = epstab[ib + 2]
-        ib += 2
-    if num != n:
-        indx = num - n + 1
-        for i in range(1, n + 1):
-            epstab[i] = epstab[indx]
-            indx += 1
-    if nres < 4:
-        res3la[nres] = result
-        abserr = _OFLOW
-    else:
-        abserr = abs(result - res3la[3]) + abs(result - res3la[2]) + abs(result - res3la[1])
-        res3la[1] = res3la[2]
-        res3la[2] = res3la[3]
-        res3la[3] = result
-    return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
+    result = 0.0
+    for piece_k in pieces:  # added in list order, as dqage
+        result = result + piece_k[2]
+    return result, errsum, ier

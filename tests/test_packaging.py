@@ -69,8 +69,9 @@ print(json.dumps({{"codes": codes, "loaded": sorted(loaded)}}))
 
 
 def test_import_saflow_leaves_the_quadrature_unloaded():
-    # without a bytecode cache, loading the QUADPACK port means compiling it,
-    # which the set-up of solve, sweep and bench should not pay
+    # without a bytecode cache, loading the quadrature module (QUADPACK's
+    # rules and its QAG loop) means compiling it, which the set-up of
+    # solve, sweep and bench should not pay
     script = """
 import json, sys
 import saflow, saflow.cli
@@ -109,8 +110,9 @@ print(json.dumps({{"code": code, "pool": "concurrent.futures.process" in sys.mod
 
 
 def test_verify_loads_no_scipy(tmp_path):
-    # the quadratures are saflow's own (landscape.quad), so verify, which
-    # runs all 160 of them, needs no scipy
+    # the quadratures are saflow's own (landscape.quad on saflow.quadpack's
+    # Gauss-Kronrod rules; scipy is only the tests' agreement oracle), so
+    # verify, which runs all 160 of them, needs no scipy
     script = f"""
 import json, sys
 import saflow.cli
