@@ -3,6 +3,7 @@
 (whose QAGS/QAGI add epsilon-algorithm extrapolation) and with closed forms."""
 
 import math
+import sys
 import warnings
 
 import pytest
@@ -192,6 +193,26 @@ def test_quad_converges_quietly_on_smooth_integrands():
         assert abs(val - math.sqrt(math.pi) / 2) <= 1e-12 and err <= 1e-10
         assert ls.quad(lambda x: 0.0, -1.0, 2.0) == (0.0, 0.0)
         assert ls.quad(lambda x: 3, 0, 2)[0] == 6.0  # int limits and values
+
+
+@pytest.mark.parametrize("rule, kronrod_degree, gauss_degree", [
+    (qp._GK21, 31, 19), (qp._GK15, 23, 13),
+], ids=["21-point", "15-point"])
+def test_each_rule_table_is_exact_to_its_degree(rule, kronrod_degree, gauss_degree):
+    # x^k over [-1, 1]: the Kronrod result is exact to its degree, and the
+    # error estimate sits on the roundoff floor exactly while the Gauss result
+    # is exact too, which pins every weight's place, the zero ones included
+    def on_monomial(k):
+        result, abserr, resabs, _ = qp._qk(lambda x: x ** k, -1.0, 1.0, rule)
+        return abs(result - 2.0 / (k + 1)), abserr / ((50.0 * sys.float_info.epsilon) * resabs)
+
+    for k in range(0, kronrod_degree + 1, 2):
+        gap, over_floor = on_monomial(k)
+        assert gap <= 1e-15
+        assert (over_floor == 1.0) == (k <= gauss_degree)
+        if k == gauss_degree + 1:
+            assert over_floor > 1e6
+    assert on_monomial(kronrod_degree + 1)[0] > 1e-13
 
 
 @pytest.mark.parametrize("a, b", [
