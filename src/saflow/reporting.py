@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -27,11 +28,11 @@ def _cell(x) -> str:
 
 def write_csv(path, header: str, rows) -> None:
     """Write rows under a header line: a float cell as repr(float(x)), a bool
-    (numpy's too) as true/false, None as empty, anything else as str(x)."""
-    with open(path, "w") as fh:
+    (numpy's too) as true/false, None as empty, anything else as str(x).  A
+    cell with a comma, quote or newline is quoted as in RFC 4180."""
+    with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(map(_cell, row)) + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(map(_cell, row) for row in rows)
 
 
 def write_report_csv(rows: list[CheckResult], path) -> None:

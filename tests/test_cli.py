@@ -368,7 +368,9 @@ def test_verify_all_quick_matches_golden(tmp_path):
 
 
 def test_verify_all_writes_plain_numbers(tmp_path):
-    # a numpy scalar's repr would write e.g. np.float64(5e-15) into a cell
+    # a numpy scalar's repr would write e.g. np.float64(5e-15) into a cell,
+    # and a cell with a comma in it, unquoted, would shift the cells after it
     assert run_cli(["verify", "all", "--quick", "--seed", "1", "--out", str(tmp_path)]) == 0
-    rows = list(csv.reader((tmp_path / "verify_all.csv").open()))
+    rows = list(csv.reader((tmp_path / "verify_all.csv").open(newline="")))
     assert [cell for row in rows for cell in row if "np." in cell] == []
+    assert [row[0] for row in rows if len(row) != 6] == []
