@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .constants import SUITES
 from .distances import dist, success
 from .measurement import add_noise, gen_sensing, gen_signal, observe
 from .metrics import (
@@ -39,9 +40,7 @@ from .metrics import (
     write_iteration_csv,
     write_success_csv,
 )
-from .reporting import write_report_csv
 from .solvers import ALGORITHMS, GdConfig, make_init, parse_algorithm, solve as run_solver
-from .verify import SUITES, run_suite
 
 # The keys each config accepts, with their JSON types: int (never a bool or a
 # float), float (an int too), str, or [T] (a non-empty list of T).  Defaults
@@ -183,6 +182,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite, write_report_csv  # solve, sweep and bench never load it
     rows = run_suite(args.suite, quick=args.quick, seed=args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Closed-form landscape quantities and their numerical verification tools.
+"""Closed-form landscape quantities and the estimators that check them.
 
 Setup: for a unit ground truth x and an iterate z with alignment
 sigma = <z, x>/||z|| (tau = sqrt(1 - sigma^2)) and scale lam = beta/||z||,
@@ -6,8 +6,10 @@ the projections U = <a, z>/||z|| and V = <a, x> of a standard Gaussian a
 form a correlated standard-normal pair, U = sigma V + tau W with W
 independent of V.  Every expectation that controls the loss landscape is a
 function of (sigma, lam, beta) alone; this module provides those closed
-forms, Monte Carlo and quadrature estimators for them, and an empirical
-scan of finite-instance losses over the (||z||, sigma) plane.
+forms, Monte Carlo and quadrature estimators for them, the scalar
+integrals and inequalities behind the landscape bounds, and an empirical
+scan of finite-instance losses over the (||z||, sigma) plane.  It returns
+numbers, not check rows: saflow.verify turns them into its report.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 
 from .calculus import DEFAULT_BETA, _curvature_terms, _gradient, _phi_weights, check_beta, psi_u
 from .measurement import REAL, gen_sensing, gen_signal, observe, rng_for
-from .reporting import CheckResult
 
 MC_DEFAULT_SAMPLES = 10_000_000
 _MC_BATCH = 2_000_000
@@ -394,38 +395,6 @@ def rational_integral_closed_form(t: float) -> float:
     return (math.pi / 4.0) * (1.0 + 2.0 * ra) / (a * ra * (1.0 + ra) ** 2)
 
 
-def rational_integral_report() -> list[CheckResult]:
-    """Adjudicate reference values for the integral family by quadrature.
-
-    The two surd forms (9/16)(8-3*sqrt(6))*pi and (8/9)(9-5*sqrt(3))*pi
-    evaluate to about 1.15135 and 0.94875; quadrature pairs the first with
-    t = 1/3 and the second with t = 1/4, so the decimal values 0.94875 and
-    1.15135 belong to t = 1/4 and t = 1/3 respectively.  Each report row
-    records the quadrature truth.
-    """
-    rows: list[CheckResult] = []
-    surd_6 = (9.0 / 16.0) * (8.0 - 3.0 * math.sqrt(6.0)) * math.pi
-    surd_3 = (8.0 / 9.0) * (9.0 - 5.0 * math.sqrt(3.0)) * math.pi
-    cases = [
-        ("rational_integral_t0", 0.0, 3.0 * math.pi / 16.0, 1e-8),
-        ("rational_integral_t_quarter", 0.25, 0.94875, 1e-4),
-        ("rational_integral_t_third", 1.0 / 3.0, 1.15135, 1e-4),
-    ]
-    vals = [rational_integral(t) for _, t, _, _ in cases]
-    for (check_id, t, target, tol), val in zip(cases, vals):
-        rows.append(CheckResult(check_id, f"t={t:.6g}", repr(target), repr(val),
-                                repr(tol), abs(val - target) <= tol))
-    # which surd form belongs to which t, judged by quadrature
-    _, v_quarter, v_third = vals
-    rows.append(CheckResult(
-        "surd_form_pairing_t_quarter", "t=0.25", repr(surd_3), repr(v_quarter),
-        repr(1e-8), abs(v_quarter - surd_3) <= 1e-8))
-    rows.append(CheckResult(
-        "surd_form_pairing_t_third", "t=0.3333...", repr(surd_6), repr(v_third),
-        repr(1e-8), abs(v_third - surd_6) <= 1e-8))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Scalar inequality battery
 
@@ -496,69 +465,6 @@ def curvature_lower_cubic(t, beta: float):
     zero at t = beta."""
     t = np.asarray(t, dtype=float)
     return t ** 3 - (beta * beta + 2.0 * beta) * t + 2.0 * beta * beta
-
-
-def inequality_report(grid_points: int = 1000) -> list[CheckResult]:
-    """Dense-grid verification of the scalar inequalities behind the landscape
-    bounds.  Returns one row per inequality."""
-    rows: list[CheckResult] = []
-
-    taus = np.linspace(1e-3, 1.0 - 1e-3, grid_points)
-    for name, fn in (("monotone_f0_halfpi", monotone_f0_halfpi),
-                     ("monotone_f0_normalized", monotone_f0_normalized)):
-        vals = np.array([fn(t) for t in taus])
-        min_diff = float(np.min(np.diff(vals)))
-        rows.append(CheckResult(f"{name}_increasing", f"tau grid[{grid_points}]",
-                                "diffs > 0", repr(min_diff), "0", min_diff > 0))
-
-    xs = np.linspace(1e-3, math.pi / 2 - 1e-3, grid_points)
-    f1p = np.array([increasing_ratio_deriv(x) for x in xs])
-    rows.append(CheckResult("ratio_deriv_nonnegative", f"x grid[{grid_points}]",
-                            ">= 0", repr(float(f1p.min())), "0", bool(f1p.min() >= 0)))
-
-    ss = np.linspace(1.0 / 3.0, 2.0 / 3.0, grid_points)
-    hs = (3.0 * ss - 1.0) * np.arcsin(np.sqrt(ss)) / np.sqrt(ss) \
-        + (1.0 + ss) * np.sqrt(1.0 - ss) - math.pi * ss
-    rows.append(CheckResult("arcsin_combination_nonnegative", f"s grid[{grid_points}]",
-                            ">= 0", repr(float(hs.min())), "0", bool(hs.min() >= 0)))
-
-    s_all = np.linspace(1e-9, 1.0 - 1e-9, grid_points)
-    gap = arcsin_ratio_lower(s_all)
-    rows.append(CheckResult("arcsin_ratio_lower_bound", f"s grid[{grid_points}]",
-                            ">= 0", repr(float(gap.min())), "0", bool(gap.min() >= 0)))
-
-    s01 = np.linspace(0.0, 1.0, grid_points)
-    a = hull_poly(s01)
-    ok = bool(np.all(a > 0) and np.all(a < 1.0 + s01))
-    rows.append(CheckResult(
-        "hull_poly_between_0_and_1_plus_s", f"s grid[{grid_points}]",
-        "0 < A(s) < 1+s",
-        f"min={float(a.min())!r} gap={float((1 + s01 - a).min())!r}",
-        "0", ok))
-
-    g1 = sqrt_gap_poly(ss)
-    rows.append(CheckResult("sqrt_gap_poly_positive", f"s grid[{grid_points}]",
-                            "> 0", repr(float(g1.min())), "0", bool(g1.min() > 0)))
-    g1_diff = float(np.max(np.diff(g1)))
-    rows.append(CheckResult("sqrt_gap_poly_decreasing", f"s grid[{grid_points}]",
-                            "diffs < 0", repr(g1_diff), "0", g1_diff < 0))
-    val = float(sqrt_gap_poly(2.0 / 3.0))
-    rows.append(CheckResult("sqrt_gap_poly_at_two_thirds", "s=2/3", "0.035",
-                            repr(val), "1e-3", abs(val - 0.035) <= 1e-3))
-
-    t23 = np.linspace(2.0 / 3.0, 1.0, grid_points)
-    margin = case_boundary_margin(t23)
-    rows.append(CheckResult("case_boundary_margin_nonnegative", f"t grid[{grid_points}]",
-                            ">= 0", repr(float(margin.min())), "0", bool(margin.min() >= 0)))
-
-    thetas = np.linspace(1e-3, math.pi / 2 - 1e-3, grid_points)
-    worst = math.inf
-    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        vals = angle_family(t, thetas)
-        worst = min(worst, float(np.min(np.diff(vals))))
-    rows.append(CheckResult("angle_family_increasing_in_theta", "t in {0,...,1}",
-                            "diffs > 0", repr(worst), "0", worst > 0))
-    return rows
 
 
 # ---------------------------------------------------------------------------

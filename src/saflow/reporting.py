@@ -1,21 +1,10 @@
-"""The CSV writer of every output file, and the verification suites' check record."""
+"""The CSV writer of every output file."""
 
 from __future__ import annotations
 
 import csv
-from dataclasses import astuple, dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    input: str
-    expected: str
-    actual: str
-    tolerance: str
-    passed: bool
 
 
 def _cell(x) -> str:
@@ -33,7 +22,3 @@ def write_csv(path, header: str, rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         csv.writer(fh, lineterminator="\n").writerows(map(_cell, row) for row in rows)
-
-
-def write_report_csv(rows: list[CheckResult], path) -> None:
-    write_csv(path, "check_id,input,expected,actual,tolerance,pass", map(astuple, rows))

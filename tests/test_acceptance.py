@@ -16,9 +16,8 @@ from saflow.cli import main as cli_main
 from saflow.distances import dist, success
 from saflow.measurement import add_noise, gen_sensing, gen_signal, observe, trial_seed
 from saflow.metrics import ExperimentSpec, run_iteration_table, run_success_sweep
-from saflow.reporting import write_report_csv
 from saflow.solvers import GdConfig, gd_saf, random_init
-from saflow.verify import run_suite
+from saflow.verify import run_suite, write_report_csv
 
 TOL_REL_ERR = 1e-5
 GOLDEN = Path(__file__).parent / "golden"

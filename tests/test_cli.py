@@ -1,10 +1,13 @@
+import argparse
 import csv
 import json
 from pathlib import Path
 
 import pytest
 
-from saflow.cli import main
+import saflow.verify as vf
+from saflow.cli import build_parser, main
+from saflow.constants import SUITES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -352,8 +355,27 @@ def test_verify_appendix(tmp_path):
     assert any("sqrt_gap_poly_at_two_thirds" in line for line in lines)
 
 
-def test_verify_unknown_suite(tmp_path):
-    assert run_cli(["verify", "poset", "--out", str(tmp_path)]) == 2
+def test_verify_unknown_suite(tmp_path, capsys):
+    for suite in ("poset", "nosuch"):
+        assert run_cli(["verify", suite, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert all(f"'{name}'" in err for name in SUITES), err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_offers_the_suites_run_suite_accepts(monkeypatch):
+    # the parser reads its choices without loading saflow.verify; each one
+    # must reach a suite, and "all" must reach every suite
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    (choices,) = [a.choices for a in sub.choices["verify"]._actions if a.dest == "suite"]
+    ran = []
+    for name in ("calculus", "expectations", "landscape", "appendix"):
+        monkeypatch.setattr(vf, f"suite_{name}",
+                            lambda quick, seed, name=name: ran.append(name) or [])
+    for name in choices:
+        assert vf.run_suite(name) == []
+    assert ran == ["calculus", "expectations", "landscape", "appendix"] * 2
+    assert tuple(choices) == SUITES
 
 
 def test_verify_calculus_quick(tmp_path):

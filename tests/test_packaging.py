@@ -47,7 +47,8 @@ def _run_fresh(script: str) -> dict:
 
 def test_solve_sweep_and_bench_load_neither_scipy_nor_a_process_pool(tmp_path):
     # the pool's module is imported only for --threads > 1, so a fresh
-    # interpreter that runs these has neither
+    # interpreter that runs these has neither; nor does it load (and, with
+    # no bytecode cache, compile) the verification stack
     sweep = tmp_path / "sweep.json"
     sweep.write_text(json.dumps({"mode": "success", "n": 8, "m_over_n": [6], "trials": 1}))
     bench = tmp_path / "bench.json"
@@ -62,7 +63,8 @@ codes = [saflow.cli.main(["solve", "--n", "8", "--m", "48", "--out", {str(tmp_pa
          saflow.cli.main(["bench", {str(bench)!r}, "--threads", "1",
                           "--out", {str(tmp_path / "bench")!r}])]
 loaded = [m for m in sys.modules
-          if m == "scipy" or m.startswith("scipy.") or m == "concurrent.futures.process"]
+          if m == "scipy" or m.startswith("scipy.") or m == "concurrent.futures.process"
+          or m in ("saflow.verify", "saflow.landscape", "saflow.quadpack")]
 print(json.dumps({{"codes": codes, "loaded": sorted(loaded)}}))
 """
     assert _run_fresh(script) == {"codes": [0, 0, 0], "loaded": []}
@@ -71,13 +73,31 @@ print(json.dumps({{"codes": codes, "loaded": sorted(loaded)}}))
 def test_import_saflow_leaves_the_quadrature_unloaded():
     # without a bytecode cache, loading the quadrature module (QUADPACK's
     # rules and its QAG loop) means compiling it, which the set-up of
-    # solve, sweep and bench should not pay
+    # solve, sweep and bench should not pay; the package namespace holds
+    # only __version__, so `import saflow` loads no module of it at all
     script = """
 import json, sys
-import saflow, saflow.cli
-print(json.dumps(sorted(m for m in sys.modules if m == "saflow.quadpack")))
+import saflow
+package = sorted(m for m in sys.modules if m.startswith("saflow."))
+import saflow.cli
+print(json.dumps([package, sorted(m for m in sys.modules if m == "saflow.quadpack")]))
 """
-    assert _run_fresh(script) == []
+    assert _run_fresh(script) == [[], []]
+
+
+MODULES = sorted(path.stem for path in (ROOT / "src" / "saflow").glob("*.py")
+                 if path.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_on_its_own(module):
+    # first in a fresh interpreter, so an import cycle cannot hide behind
+    # the order in which other modules happened to load
+    script = f"""
+import json, saflow.{module}
+print(json.dumps("ok"))
+"""
+    assert _run_fresh(script) == "ok"
 
 
 def test_import_saflow_cli_loads_no_process_pool():

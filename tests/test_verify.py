@@ -6,9 +6,7 @@ import pytest
 import saflow.landscape as ls
 from saflow.calculus import phi
 from saflow.measurement import rng_for
-
-from saflow.reporting import write_report_csv
-from saflow.verify import g_saddle_weight, run_suite
+from saflow.verify import g_saddle_weight, run_suite, write_report_csv
 
 
 @pytest.mark.parametrize("name", ["calculus", "expectations", "landscape", "appendix"])
