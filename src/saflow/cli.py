@@ -9,8 +9,8 @@ verify  numerical verification suites -> report CSV
 
 Exit codes: 0 success, 1 numerical failure (divergence / failed checks),
 2 usage or config error.  All outputs are deterministic functions of
-(flags, config, base seed); rerunning with --threads 1 reproduces files
-byte for byte (bench timing excepted unless --no-timing is given).
+(flags, config, base seed), whatever --threads is; rerunning reproduces
+files byte for byte (bench timing excepted unless --no-timing is given).
 
 verify runs its independent Monte Carlo passes on up to one process per
 available CPU, this one included, and writes the same bytes at any count;
@@ -203,6 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "experiment sweeps, and numerical verification.",
     )
     parser.add_argument("--version", action="version", version=f"saflow {__version__}")
+    threads_help = ("processes that solve trials, this one included (default 1); "
+                    "every count writes the same results")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
@@ -234,9 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                "or beta.csv (beta,init,success_rate) per the config's mode")
     p.add_argument("config", help="JSON config path (see README for its keys)")
     p.add_argument("--out", default=".")
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="processes that solve trials, this one included; "
-                        "1 (default) is bit-exact")
+    p.add_argument("--threads", type=_positive_int, default=1, help=threads_help)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
                "(algorithm,init,threshold,median_iters,mean_seconds)")
     p.add_argument("config")
     p.add_argument("--out", default=".")
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1, help=threads_help)
     p.add_argument("--no-timing", action="store_true", dest="no_timing",
                    help="zero the wall-clock column for byte-reproducible output")
     p.set_defaults(func=cmd_bench)

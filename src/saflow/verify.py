@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import landscape as ls
-from .calculus import dir_second_derivative, gradient, loss, phi, psi_u
+from .calculus import _phi_weights, dir_second_derivative, gradient, loss, psi_u
 from .constants import SUITES
 from .measurement import REAL, gen_sensing, gen_signal, observe, rng_for
 from .parallel import ordered_map
@@ -46,11 +46,11 @@ def g_abs_ts(t, s):
 
 
 def g_tsq(t, s):
-    return np.asarray(t) ** 2 + 0.0 * np.asarray(s)
+    return np.asarray(t) ** 2
 
 
 def g_ssq(t, s):
-    return np.asarray(s) ** 2 + 0.0 * np.asarray(t)
+    return np.asarray(s) ** 2
 
 
 def g_signed_tsq(t, s):
@@ -60,8 +60,7 @@ def g_signed_tsq(t, s):
 
 
 def g_signed_abs_ts(t, s):
-    ts = np.asarray(t, dtype=float) * np.asarray(s, dtype=float)
-    return np.sign(ts) * np.abs(ts)
+    return np.asarray(t, dtype=float) * np.asarray(s, dtype=float)  # sgn(ts)|ts| = ts
 
 
 NAMED_G = {
@@ -281,10 +280,9 @@ def g_sgnuv_vsq_stat(t, s):
 
 
 def g_saddle_weight(t, s):
-    """phi(t/s, 1/2) s^2, the curvature weight along x at sigma = 0 (s = 0 gives 0)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(s != 0, t / np.where(s != 0, s, 1.0), np.inf)
-    return phi(ratio, 0.5) * s * s
+    """phi(t/s, 1/2) s^2, the curvature weight along x at sigma = 0 (s = 0 gives 0);
+    phi reads only |t/s|, so the ratio may divide by |s|."""
+    return _phi_weights(t, np.abs(s), 0.5) * s * s
 
 
 # --- landscape suite --------------------------------------------------------

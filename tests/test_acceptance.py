@@ -6,6 +6,7 @@ module takes a few minutes; criteria 3-8 share single full runs of the
 verification suites via session fixtures.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -66,8 +67,13 @@ def landscape_rows(landscape_report):
 
 
 @pytest.fixture(scope="session")
-def appendix_rows():
-    return _rows_by_id(run_suite("appendix", quick=False, seed=0))
+def appendix_report():
+    return run_suite("appendix", quick=False, seed=0)
+
+
+@pytest.fixture(scope="session")
+def appendix_rows(appendix_report):
+    return _rows_by_id(appendix_report)
 
 
 def test_criterion_1_success_rates():
@@ -153,11 +159,23 @@ def test_expectations_full_matches_golden(expectation_report, tmp_path):
     _assert_matches_golden(expectation_report, "expectations_full.csv", tmp_path)
 
 
-@pytest.mark.parametrize("suite", ["calculus", "landscape"])
+@pytest.mark.parametrize("suite", ["calculus", "landscape", "appendix"])
 def test_full_suite_matches_golden(suite, request, tmp_path):
     # the full-budget rows beyond their pass flags, byte for byte
     _assert_matches_golden(request.getfixturevalue(f"{suite}_report"), f"{suite}_full.csv",
                            tmp_path)
+
+
+def test_full_goldens_make_up_the_full_verify_all_csv():
+    # `saflow verify all --seed 0` writes the header and then each suite's
+    # rows in this order, so the four goldens above pin every byte of it
+    parts = [(GOLDEN / f"{suite}_full.csv").read_bytes().split(b"\n", 1)
+             for suite in ("calculus", "expectations", "landscape", "appendix")]
+    assert [len(rows.splitlines()) for _, rows in parts] == [9, 62, 15, 20]
+    assert len({header for header, _ in parts}) == 1
+    full = parts[0][0] + b"\n" + b"".join(rows for _, rows in parts)
+    assert hashlib.sha256(full).hexdigest() == (
+        "f994023e988bb608e3799dc19a3df4372a404e99d53a8c1f8d4c08691baaf9fc")
 
 
 def test_criterion_6_integral_constants(appendix_rows):

@@ -161,6 +161,40 @@ def test_mc_engine_masks_lam_inf_where_v_is_zero(monkeypatch):
         assert (est.mean, est.std_error) == _loop_estimate(*stat, samples, 5, 9)
 
 
+@pytest.mark.parametrize("lam, h", [(0.5, 0.02), (1.0, 0.02), (0.25, 0.0625)])
+def test_mc_engine_shell_mask_on_its_edges(monkeypatch, lam, h):
+    # the central-difference mask is the bool shell 1{|U| <= (lam+h)|V|} and
+    # not 1{|U| <= (lam-h)|V|}; scored against the float difference of the two
+    # indicators on draws with |U| exactly on (lam +- h)|V| or one ulp off it,
+    # at +-0, subnormal and near-overflow |V|
+    rng = rng_for(43)
+    v = np.concatenate([rng.standard_normal(4000),
+                        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1e300, -1.7e308]])
+    edges = [(lam + h) * v, (lam - h) * v]
+    w = np.concatenate([edges[0], edges[1], -edges[0], -edges[1],
+                        np.nextafter(edges[0], np.inf), np.nextafter(edges[0], -np.inf),
+                        np.nextafter(edges[1], np.inf), np.nextafter(edges[1], -np.inf)])
+    v = np.tile(v, 8)
+
+    def edge_rng_for(*key):
+        class Draws:
+            calls = 0
+
+            def standard_normal(self, k):
+                assert k == len(v)
+                self.calls += 1
+                return (v if self.calls % 2 else w).copy()  # V, then W
+        return Draws()
+
+    g_sign = lambda t, s: np.sign(t) * np.sign(s)  # finite where |U| or |V| is huge
+    stats = [(g_sign, 0.0, lam, h), (lambda t, s: np.ones_like(t), 0.0, lam, h)]
+    monkeypatch.setattr(ls, "rng_for", edge_rng_for)
+    together = ls._mc_estimates(stats, len(v), seed=0, stream=0)
+    monkeypatch.setitem(globals(), "rng_for", edge_rng_for)
+    for stat, est in zip(stats, together):
+        assert (est.mean, est.std_error) == _loop_estimate(*stat, len(v), 0, 0)
+
+
 @pytest.mark.parametrize("leaf", [128, ls._MC_LEAF])
 @pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 65_536, 65_537,
                                1_000_000, 2_000_000, 2_000_001])
@@ -411,7 +445,7 @@ def _reference_scan(n, m, beta, norm_grid, sigma_grid, w_samples, directions, se
     for nz in norm_grid:
         for sigma in sigma_grid:
             tau = math.sqrt(max(1.0 - sigma * sigma, 0.0))
-            radials, aligns, curvs = [], [], []
+            radials, curvs = [], []
             min_dir = math.inf
             for _ in range(w_samples):
                 w = rng.standard_normal(n)
@@ -420,7 +454,6 @@ def _reference_scan(n, m, beta, norm_grid, sigma_grid, w_samples, directions, se
                 z = nz * (sigma * x + tau * w)
                 g = gradient(z, A, y, beta)
                 radials.append(float(g @ z) / (nz * nz))
-                aligns.append(float(g @ x))
                 curvs.append(dir_second_derivative(z, x, A, y, beta))
                 dirs = rng.standard_normal((directions, n))
                 dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -428,9 +461,7 @@ def _reference_scan(n, m, beta, norm_grid, sigma_grid, w_samples, directions, se
             points.append(ls.ScanPoint(
                 norm_z=float(nz), sigma=float(sigma),
                 dist_to_x=math.sqrt(max(nz * nz + 1.0 - 2.0 * nz * sigma, 0.0)),
-                radial_grad=float(np.mean(radials)), radial_grad_min=float(np.min(radials)),
-                align_grad=float(np.mean(aligns)),
-                curv_x=float(np.mean(curvs)), curv_x_max=float(np.max(curvs)),
+                radial_grad=float(np.mean(radials)), curv_x=float(np.mean(curvs)),
                 min_dir_curv=float(min_dir)))
     return points
 
@@ -465,7 +496,7 @@ def test_landscape_scan_smoke():
     assert pts == again
     near = [p for p in pts if p.norm_z == 1.0 and p.sigma == 0.9995]
     assert near[0].dist_to_x == pytest.approx(math.sqrt(2 - 2 * 0.9995), rel=1e-9)
-    assert near[0].min_dir_curv <= near[0].curv_x_max + 5  # sanity: fields populated
+    assert near[0].min_dir_curv <= near[0].curv_x + 5  # sanity: fields populated
 
 
 @pytest.mark.parametrize("field", ["w_samples", "directions"])

@@ -6,7 +6,8 @@ import pytest
 import saflow.landscape as ls
 from saflow.calculus import phi
 from saflow.measurement import rng_for
-from saflow.verify import g_saddle_weight, run_suite, write_report_csv
+from saflow.verify import (g_saddle_weight, g_signed_abs_ts, g_ssq, g_tsq, run_suite,
+                           write_report_csv)
 
 
 @pytest.mark.parametrize("name", ["calculus", "expectations", "landscape", "appendix"])
@@ -54,3 +55,47 @@ def test_saddle_mc_bitwise_equal_to_its_own_loop():
     mean = total / samples
     se = math.sqrt(max(total_sq / samples - mean * mean, 0.0) / samples)
     assert (est.mean, est.std_error) == (mean, se)
+
+
+# values seed 0 never draws: +-0, subnormals, a normal minimum, products that
+# underflow or overflow, and ratios exactly on phi's jump at |t/s| = 1/2
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-200, -1e-200,
+          0.5, -0.5, 1.0, -1.0, 2.0, 3.0, 1e200, -1e200, 1.7976931348623157e308]
+_T, _S = (a.ravel() for a in np.meshgrid(_EDGES, _EDGES))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def test_squared_statistics_keep_the_bits_of_the_zero_term_form():
+    # t^2 + 0 s and s^2 + 0 t, the forms these replaced, add only a zero
+    with np.errstate(over="ignore"):
+        assert _bits(g_tsq(_T, _S)) == _bits(np.asarray(_T) ** 2 + 0.0 * np.asarray(_S))
+        assert _bits(g_ssq(_T, _S)) == _bits(np.asarray(_S) ** 2 + 0.0 * np.asarray(_T))
+        for t, s in zip(_T.tolist(), _S.tolist()):  # the quadrature passes floats
+            assert _bits(g_tsq(t, s)) == _bits(np.asarray(t) ** 2 + 0.0 * np.asarray(s))
+            assert _bits(g_ssq(t, s)) == _bits(np.asarray(s) ** 2 + 0.0 * np.asarray(t))
+
+
+def test_signed_abs_statistic_is_sgn_times_abs_but_for_the_sign_of_zero():
+    with np.errstate(over="ignore", under="ignore"):
+        ts = _T * _S
+        new = g_signed_abs_ts(_T, _S)
+        old = np.sign(ts) * np.abs(ts)
+        for k, (t, s) in enumerate(zip(_T.tolist(), _S.tolist())):
+            assert g_signed_abs_ts(t, s) == old[k]
+    zero = ts == 0
+    assert zero.any() and np.signbit(new[zero]).any()  # -0 where old gives +0
+    assert _bits(new[~zero]) == _bits(old[~zero])
+    assert (new[zero] == 0).all() and (old[zero] == 0).all()
+
+
+def test_saddle_weight_keeps_the_bits_of_the_signed_ratio_form():
+    # phi(t/s) with the infinite ratio at s = 0 spelled out, as it was
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        ratio = np.where(_S != 0, _T / np.where(_S != 0, _S, 1.0), np.inf)
+        old = phi(ratio, 0.5) * _S * _S
+        new = g_saddle_weight(_T, _S)
+    assert (np.abs(ratio) == 0.5).any() and (_S == 0).any()
+    assert _bits(new) == _bits(old)
