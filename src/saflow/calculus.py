@@ -5,13 +5,14 @@ The scalar building blocks are
     gamma(t) = |t|                      if |t| > beta
                t^2/(2 beta) + beta/2    if |t| <= beta
 
-    psi(u, v)   = (gamma(u/v) - 1)^2 v^2 / 2,   psi(u, 0) = u^2 / 2
+    psi(u, v)   = (gamma(u/v) - 1)^2 v^2 / 2
     psi_u(u, v) = d psi / d u
                 = sgn(u) (|u| - |v|)                    if |u| > beta |v|
                   u^3/(2 beta^2 v^2) + (1/2 - 1/beta) u if |u| <= beta |v|
     phi(t)      = 1 + 3 t^2/(2 beta^2) 1{|t|<beta} - (1/2 + 1/beta) 1{|t|<beta}
 
-and the m-measurement loss is F(z) = mean_i psi(<a_i, z>, y_i) with
+At v = 0 every u != 0 is on the outer branch: psi(u, 0) = u^2/2, psi_u(u, 0) = u.
+The m-measurement loss is F(z) = mean_i psi(<a_i, z>, y_i) with
 y_i = |<a_i, x>| >= 0 (psi and psi_u are even in v, so magnitudes suffice).
 All functions broadcast over numpy arrays.  Per-measurement reductions use
 numpy's pairwise summation, so results are reproducible bit for bit on a
@@ -53,14 +54,12 @@ def _psi_and_psi_u(u, v, beta):
     check_beta(beta)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    u, v = np.broadcast_arrays(u, v)
     au = np.abs(u)
     av = np.abs(v)
-    nonzero = av > 0
     outer = 0.5 * (au - av) ** 2
     vsq = v * v
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = u / np.where(nonzero, v, 1.0)  # bounded by beta where selected
+        t = u / np.where(av > 0, v, 1.0)  # bounded by beta where selected
         tt = t * t
         dev = tt / (2.0 * beta) + beta / 2.0 - 1.0
         inner = 0.5 * dev * dev * vsq
@@ -68,14 +67,14 @@ def _psi_and_psi_u(u, v, beta):
         # a higher one was seen to page-fault on every iterate at m = 8000
         del t, dev, vsq
         inner_u = tt * u / (2.0 * beta * beta) + (0.5 - 1.0 / beta) * u
-    use_inner = (au <= beta * av) & nonzero
-    value = np.where(use_inner, inner, np.where(nonzero, outer, 0.5 * u * u))
+    use_inner = au <= beta * av
+    value = np.where(use_inner, inner, outer)
     del inner, outer, tt
-    return value, np.where(use_inner, inner_u, np.where(nonzero, np.sign(u) * (au - av), u))
+    return value, np.where(use_inner, inner_u, np.sign(u) * (au - av))
 
 
 def psi(u, v, beta: float = DEFAULT_BETA):
-    """Per-measurement loss (gamma(u/v) - 1)^2 v^2 / 2, with psi(u, 0) = u^2/2.
+    """Per-measurement loss (gamma(u/v) - 1)^2 v^2 / 2 (u^2/2 at v = 0).
 
     The outer branch is evaluated ratio-free as (|u| - |v|)^2 / 2 (the same
     quantity algebraically), so extreme u/v ratios cannot overflow; on the
@@ -85,7 +84,7 @@ def psi(u, v, beta: float = DEFAULT_BETA):
 
 
 def psi_u(u, v, beta: float = DEFAULT_BETA):
-    """Partial derivative of psi with respect to u (even in v; psi_u(u,0)=u).
+    """Partial derivative of psi with respect to u (even in v; u at v = 0).
 
     The inner branch u^3/(2 beta^2 v^2) is evaluated as (u/v)^2 u / (2 beta^2)
     so it can neither overflow (|u/v| <= beta there) nor hit 0/0 on
@@ -117,9 +116,9 @@ def _check_dims(z, A, y):
 
 
 def _gradient(A, y, w, u, c):
-    """mean_i c_i a_i, times the phase w_i/|w_i| (0 where w_i = 0) on complex data."""
+    """mean_i c_i a_i, times the phase w_i/|w_i| on complex data (w_i where w_i = 0)."""
     if np.iscomplexobj(w):
-        c = c * np.where(u > 0, w / np.where(u > 0, u, 1.0), 0.0)
+        c = c * (w / np.where(u > 0, u, 1.0))
     return (A.T @ c) / y.shape[0]
 
 

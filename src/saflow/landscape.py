@@ -21,6 +21,7 @@ import numpy as np
 
 from .calculus import DEFAULT_BETA, _curvature_terms, _gradient, _phi_weights, check_beta, psi_u
 from .measurement import REAL, gen_sensing, gen_signal, observe, rng_for
+from .quadpack import quad
 
 MC_DEFAULT_SAMPLES = 10_000_000
 _MC_BATCH = 2_000_000
@@ -29,20 +30,6 @@ _MC_BATCH = 2_000_000
 # 16 MB batch arrays through memory.  At least 128 (numpy's pairwise
 # block), so every piece is a leaf of numpy's summation tree.
 _MC_LEAF = 65_536
-
-
-def quad(func, a: float, b: float) -> tuple[float, float]:
-    """saflow.quadpack.quad(func, a, b), with that module loaded on first use.
-
-    The integral of func over [a, b], b <= inf, and its error estimate, by
-    QUADPACK's Gauss-Kronrod rules under a plain adaptive-bisection (QAG)
-    loop; a RuntimeWarning names why it stopped short of the tolerance, and
-    a non-finite integrand raises ValueError.  solve, sweep and bench
-    integrate nothing, so they never load (and, with no bytecode cache, never
-    compile) that module.
-    """
-    from .quadpack import quad as quadpack_quad
-    return quadpack_quad(func, a, b)
 
 
 def _tau(sigma: float) -> float:

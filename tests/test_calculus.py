@@ -349,6 +349,14 @@ def _reference_loss_and_gradient(z, A, y, beta):
     return float(np.mean(_reference_psi(u, y, beta))), (A.T @ c) / y.shape[0]
 
 
+def _declared_psi_u(u, v, beta):
+    """_reference_psi_u with psi_u(-0, +-0) = +0: the kernel has no v = 0 branch,
+    so (-0, +-0) takes the inner branch, which gives +0 there as at every v > 0."""
+    ref = _reference_psi_u(u, v, beta)
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    return np.where((u == 0) & (v == 0), 0.0, ref)
+
+
 def assert_same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert (a.dtype, a.shape) == (b.dtype, b.shape)
@@ -359,6 +367,11 @@ def assert_same_bits(a, b):
 # (u = 1, v = 2 at beta = 1/2) and +-1e300, where the outer branch overflows
 EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.25, -0.5, 1.0, -1.0, 2.0,
                   -2.0, 4.0, 3.7, 1e150, 1e300, -1e300])
+# u whose u^2/2 is subnormal, u whose u * u overflows where 0.5 * u^2 need
+# not, the smallest subnormal, signed zeros, infinities and NaN
+ZERO_V_U = np.concatenate([np.geomspace(1e-160, 1e-154, 7), np.geomspace(1.4e154, 1.9e154, 7),
+                           [5e-324, 0.0, -0.0, np.inf, np.nan]])
+ZERO_V_U = np.concatenate([ZERO_V_U, -ZERO_V_U[:-1]])  # -NaN's bits are the platform's
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -369,7 +382,14 @@ def test_psi_and_psi_u_keep_their_bits_on_every_branch(beta):
              (0.3, EDGES), (EDGES, 1.5), (EDGES[:, None], EDGES[None, ::-1])]
     for a, b in cases:
         assert_same_bits(psi(a, b, beta), _reference_psi(a, b, beta))
-        assert_same_bits(psi_u(a, b, beta), _reference_psi_u(a, b, beta))
+        assert_same_bits(psi_u(a, b, beta), _declared_psi_u(a, b, beta))
+    # zero magnitudes take the outer branch, so psi(u, 0) = u^2/2 and psi_u(u, 0) = u
+    for v in (0.0, -0.0):
+        assert_same_bits(psi(ZERO_V_U, v, beta), 0.5 * np.abs(ZERO_V_U) ** 2)
+        nonzero = ZERO_V_U != 0
+        assert_same_bits(psi_u(ZERO_V_U, v, beta)[nonzero], ZERO_V_U[nonzero])
+    for u in (0.0, -0.0):
+        assert_same_bits(psi_u(u, EDGES, beta), np.zeros(EDGES.size))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -380,24 +400,27 @@ def test_psi_and_psi_u_keep_their_bits_with_an_array_beta():
     v = np.concatenate([5.0 * rng.standard_normal(2000), EDGES[::-1], EDGES])
     b = np.concatenate([rng.uniform(1e-3, 0.75, 2000), np.full(2 * EDGES.size, 0.5)])
     assert_same_bits(psi(u, v, b), _reference_psi(u, v, b))
-    assert_same_bits(psi_u(u, v, b), _reference_psi_u(u, v, b))
+    assert_same_bits(psi_u(u, v, b), _declared_psi_u(u, v, b))
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_loss_and_gradient_keeps_the_bits_of_the_separate_kernels(field):
     x = gen_signal(16, field, seed=32)
     A = gen_sensing(80, 16, field, seed=32)
-    y = observe(A, x)
-    y[::7] = 0.0  # magnitudes with zeros take psi's v = 0 branch
+    A_zero_row = A.copy()
+    A_zero_row[3] = 0.0  # <a_3, z> = 0 = y_3 on every start: the phase of w_3 = 0
     starts = [x, -x, 0.5 * x, np.zeros_like(x)] + [gen_signal(16, field, seed=s)
                                                    for s in (33, 34, 35)]
-    for z in starts:
-        f, g = loss_and_gradient(z, A, y, 0.5)
-        f_ref, g_ref = _reference_loss_and_gradient(z, A, y, 0.5)
-        assert_same_bits(f, f_ref)
-        assert_same_bits(g, g_ref)
-        assert_same_bits(loss(z, A, y, 0.5), f_ref)
-        assert_same_bits(gradient(z, A, y, 0.5), g_ref)
+    for A in (A, A_zero_row):
+        y = observe(A, x)
+        y[::7] = 0.0  # zero magnitudes: psi(u, 0) = u^2/2 on the outer branch
+        for z in starts:
+            f, g = loss_and_gradient(z, A, y, 0.5)
+            f_ref, g_ref = _reference_loss_and_gradient(z, A, y, 0.5)
+            assert_same_bits(f, f_ref)
+            assert_same_bits(g, g_ref)
+            assert_same_bits(loss(z, A, y, 0.5), f_ref)
+            assert_same_bits(gradient(z, A, y, 0.5), g_ref)
 
 
 def test_loss_and_gradient_checks_beta_once(monkeypatch, real_instance):
