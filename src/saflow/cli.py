@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .constants import SUITES
-from .distances import dist, success
+from .distances import SUCCESS_THRESHOLD, dist
 from .measurement import add_noise, gen_sensing, gen_signal, observe
 from .metrics import (
     ExperimentSpec,
@@ -144,7 +144,7 @@ def cmd_solve(args) -> int:
     summary = {
         "algorithm": base,
         "init": init_kind,
-        "success": bool(code == 0 and success(trace.final, x)),
+        "success": bool(code == 0 and final_err <= SUCCESS_THRESHOLD),
         "final_rel_err": final_err if np.isfinite(final_err) else None,  # JSON has no inf
         "iters": trace.iterations,
         "reason": trace.reason,

@@ -15,7 +15,7 @@ numbers, not check rows: saflow.verify turns them into its report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ def _mu_sq(sigma: float, lam: float) -> tuple[float, float, float]:
     return (base + cross) / t2, (base - cross) / t2, tau
 
 
-@dataclass(frozen=True)
-class MCEstimate:
+class MCEstimate(NamedTuple):
     mean: float
     std_error: float
     samples: int
@@ -464,8 +463,7 @@ def direction_curvatures(A, y, z, dirs, beta: float) -> np.ndarray:
                             y[:, None], beta).mean(axis=0)
 
 
-@dataclass(frozen=True)
-class ScanPoint:
+class ScanPoint(NamedTuple):
     norm_z: float
     sigma: float
     dist_to_x: float

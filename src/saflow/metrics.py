@@ -13,8 +13,9 @@ spec, so each solve sees the same A, y and start as a solve of its own.
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,16 +76,14 @@ class ExperimentSpec:
             parse_algorithm(name)
 
 
-@dataclass(frozen=True)
-class SuccessRow:
+class SuccessRow(NamedTuple):
     m_over_n: float
     algorithm: str
     success_rate: float
     trials: int
 
 
-@dataclass(frozen=True)
-class IterationRow:
+class IterationRow(NamedTuple):
     algorithm: str
     init: str
     threshold: float
@@ -180,8 +179,7 @@ def run_iteration_table(spec: ExperimentSpec, threads: int = 1) -> list[Iteratio
     return rows
 
 
-@dataclass(frozen=True)
-class BetaRow:
+class BetaRow(NamedTuple):
     beta: float
     init: str
     success_rate: float
@@ -209,15 +207,15 @@ def run_beta_sweep(spec: ExperimentSpec, threads: int = 1) -> list[BetaRow]:
 
 # the writers below take a row's fields, in order, as its CSV columns
 def write_success_csv(rows: list[SuccessRow], path) -> None:
-    write_csv(path, "m_over_n,algorithm,success_rate,trials", map(astuple, rows))
+    write_csv(path, "m_over_n,algorithm,success_rate,trials", rows)
 
 
 def write_beta_csv(rows: list[BetaRow], path) -> None:
-    write_csv(path, "beta,init,success_rate", map(astuple, rows))
+    write_csv(path, "beta,init,success_rate", rows)
 
 
 def write_iteration_csv(rows: list[IterationRow], path, timing: bool = True) -> None:
     """Iteration table CSV; timing=False zeroes the wall-clock column so the
     file is byte-reproducible across runs."""
-    rows = rows if timing else [replace(r, mean_seconds=0.0) for r in rows]
-    write_csv(path, "algorithm,init,threshold,median_iters,mean_seconds", map(astuple, rows))
+    rows = rows if timing else [r._replace(mean_seconds=0.0) for r in rows]
+    write_csv(path, "algorithm,init,threshold,median_iters,mean_seconds", rows)

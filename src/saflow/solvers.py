@@ -56,8 +56,7 @@ class GdConfig:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
 
 
-@dataclass(frozen=True)
-class IterRecord:
+class IterRecord(NamedTuple):
     iter: int
     loss: float
     grad_norm: float

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blas_core import golden_mismatch
 from saflow.cli import main as cli_main
 from saflow.distances import dist, success
 from saflow.measurement import add_noise, gen_sensing, gen_signal, observe, trial_seed
@@ -151,7 +152,7 @@ def test_criterion_5_derivative_under_indicator(expectation_rows):
 def _assert_matches_golden(report, name, tmp_path):
     path = tmp_path / name
     write_report_csv(report, path)
-    assert path.read_bytes() == (GOLDEN / name).read_bytes()
+    assert path.read_bytes() == (GOLDEN / name).read_bytes(), golden_mismatch(name)
 
 
 def test_expectations_full_matches_golden(expectation_report, tmp_path):

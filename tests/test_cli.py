@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import saflow.verify as vf
+from blas_core import golden_mismatch
 from saflow.cli import build_parser, main
 from saflow.constants import SUITES
 
@@ -47,7 +48,8 @@ def test_solve_defaults_match_golden(tmp_path):
     assert run_cli(["solve", "--n", "24", "--m", "144", "--seed", "5",
                     "--out", str(tmp_path)]) == 0
     for name in ("trace.csv", "summary.json"):
-        assert (tmp_path / name).read_bytes() == (GOLDEN / f"solve_{name}").read_bytes()
+        got = (tmp_path / name).read_bytes()
+        assert got == (GOLDEN / f"solve_{name}").read_bytes(), golden_mismatch(f"solve_{name}")
 
 
 def test_complex_solve_matches_golden(tmp_path):
@@ -55,7 +57,9 @@ def test_complex_solve_matches_golden(tmp_path):
     assert run_cli(["solve", "--field", "complex", "--n", "24", "--m", "144", "--seed", "5",
                     "--out", str(tmp_path)]) == 0
     for name in ("trace.csv", "summary.json"):
-        assert (tmp_path / name).read_bytes() == (GOLDEN / f"solve_complex_{name}").read_bytes()
+        got = (tmp_path / name).read_bytes()
+        assert got == (GOLDEN / f"solve_complex_{name}").read_bytes(), \
+            golden_mismatch(f"solve_complex_{name}")
 
 
 def test_solve_rejects_zero_m(tmp_path):
@@ -178,7 +182,8 @@ def test_bench_five_solvers_matches_golden(tmp_path):
     path = _write_json(tmp_path / "cfg.json", cfg)
     assert run_cli(["bench", path, "--out", str(tmp_path), "--no-timing"]) == 0
     got = (tmp_path / "iterations.csv").read_bytes()
-    assert got == (GOLDEN / "bench_five_solvers.csv").read_bytes()
+    assert got == (GOLDEN / "bench_five_solvers.csv").read_bytes(), \
+        golden_mismatch("bench_five_solvers.csv")
 
 
 def test_sweep_two_algorithms_matches_golden(tmp_path):
@@ -187,7 +192,8 @@ def test_sweep_two_algorithms_matches_golden(tmp_path):
     path = _write_json(tmp_path / "cfg.json", cfg)
     assert run_cli(["sweep", path, "--out", str(tmp_path)]) == 0
     got = (tmp_path / "success.csv").read_bytes()
-    assert got == (GOLDEN / "sweep_two_algorithms.csv").read_bytes()
+    assert got == (GOLDEN / "sweep_two_algorithms.csv").read_bytes(), \
+        golden_mismatch("sweep_two_algorithms.csv")
 
 
 def test_complex_sweep_four_algorithms_matches_golden(tmp_path):
@@ -196,7 +202,7 @@ def test_complex_sweep_four_algorithms_matches_golden(tmp_path):
     path = _write_json(tmp_path / "cfg.json", cfg)
     assert run_cli(["sweep", path, "--out", str(tmp_path)]) == 0
     got = (tmp_path / "success.csv").read_bytes()
-    assert got == (GOLDEN / "sweep_complex.csv").read_bytes()
+    assert got == (GOLDEN / "sweep_complex.csv").read_bytes(), golden_mismatch("sweep_complex.csv")
 
 
 def test_complex_bench_four_algorithms_matches_golden(tmp_path):
@@ -205,7 +211,7 @@ def test_complex_bench_four_algorithms_matches_golden(tmp_path):
     path = _write_json(tmp_path / "cfg.json", cfg)
     assert run_cli(["bench", path, "--out", str(tmp_path), "--no-timing"]) == 0
     got = (tmp_path / "iterations.csv").read_bytes()
-    assert got == (GOLDEN / "bench_complex.csv").read_bytes()
+    assert got == (GOLDEN / "bench_complex.csv").read_bytes(), golden_mismatch("bench_complex.csv")
 
 
 def test_sweep_beta_mode_matches_golden(tmp_path):
@@ -213,7 +219,8 @@ def test_sweep_beta_mode_matches_golden(tmp_path):
     cfg = {"mode": "beta", "n": 16, "trials": 4, "beta_grid": [0.2, 0.4, 0.6]}
     path = _write_json(tmp_path / "cfg.json", cfg)
     assert run_cli(["sweep", path, "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "beta.csv").read_bytes() == (GOLDEN / "sweep_beta.csv").read_bytes()
+    got = (tmp_path / "beta.csv").read_bytes()
+    assert got == (GOLDEN / "sweep_beta.csv").read_bytes(), golden_mismatch("sweep_beta.csv")
 
 
 def test_bench_custom_thresholds(tmp_path):
@@ -386,7 +393,7 @@ def test_verify_all_quick_matches_golden(tmp_path):
     # pins every row of the quick run byte for byte (tests/golden/README.md)
     assert run_cli(["verify", "all", "--quick", "--seed", "0", "--out", str(tmp_path)]) == 0
     got = (tmp_path / "verify_all.csv").read_bytes()
-    assert got == (GOLDEN / "verify_all.csv").read_bytes()
+    assert got == (GOLDEN / "verify_all.csv").read_bytes(), golden_mismatch("verify_all.csv")
 
 
 def test_verify_all_writes_plain_numbers(tmp_path):

@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -224,7 +223,7 @@ def test_multi_algorithm_table_parallel_matches_serial():
                           config=GdConfig(mu=0.8, max_iter=1000), algorithms=FIVE, base_seed=6)
 
     def untimed(rows):
-        return [replace(r, mean_seconds=0.0) for r in rows]
+        return [r._replace(mean_seconds=0.0) for r in rows]
     serial = run_iteration_table(spec, threads=1)
     assert untimed(run_iteration_table(spec, threads=2)) == untimed(serial)
     assert all(r.mean_seconds > 0 for r in serial)

@@ -2,6 +2,7 @@
 third-party packages that src/saflow imports."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -11,7 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from blas_core import golden_mismatch
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -126,7 +130,8 @@ print(json.dumps({{"code": code, "pool": "concurrent.futures.process" in sys.mod
 """
     assert _run_fresh(script) == {"code": 0, "pool": cpus > 1, "children": 0}
     got = (tmp_path / "verify_all.csv").read_bytes()
-    assert got == (ROOT / "tests" / "golden" / "verify_all.csv").read_bytes()
+    assert got == (ROOT / "tests" / "golden" / "verify_all.csv").read_bytes(), \
+        golden_mismatch("verify_all.csv")
 
 
 def test_verify_loads_no_scipy(tmp_path):
@@ -147,7 +152,9 @@ def test_benchmark_hooks_are_in_place():
     # bench/tracing.py wraps the TARGETS functions by identity (an alias
     # would be wrapped twice) and bench/tests replace solvers._descend by its
     # positional signature and binds solve's algorithm and truth by name;
-    # the benchmark's spot solve passes gd_saf its start as z0=...;
+    # the benchmark's spot solve passes gd_saf its start as z0=...; bench/tests
+    # build a trace and its record by keyword and force a check row false
+    # with dataclasses.replace;
     # Tier-1 does not run bench/tests, so this keeps a refactor from
     # blinding the benchmark.  TARGETS is read from the source.
     path = ROOT / "bench" / "tracing.py"
@@ -168,3 +175,9 @@ def test_benchmark_hooks_are_in_place():
         "algorithm", "A", "y", "z", "config", "truth", "value_grad", "step_of"]
     assert {"algorithm", "truth"} <= set(inspect.signature(solvers.solve).parameters)
     assert "z0" in inspect.signature(solvers.gd_saf).parameters
+    trace = solvers.SolveTrace(algorithm="saf", final=np.zeros(2), reason="max_iter")
+    trace.records.append(solvers.IterRecord(iter=0, loss=0.0, grad_norm=1.0, rel_err=None))
+    assert trace.iterations == 0 and trace.records[0].rel_err is None
+    verify = importlib.import_module("saflow.verify")
+    row = verify.CheckResult("c", "input", "expected", "actual", "0", True)
+    assert dataclasses.replace(row, passed=False).passed is False
