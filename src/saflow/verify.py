@@ -54,13 +54,11 @@ def g_ssq(t, s):
 
 
 def g_signed_tsq(t, s):
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
     return np.sign(t * s) * t * t
 
 
 def g_signed_abs_ts(t, s):
-    return np.asarray(t, dtype=float) * np.asarray(s, dtype=float)  # sgn(ts)|ts| = ts
+    return t * s  # sgn(ts)|ts| = ts
 
 
 NAMED_G = {
@@ -274,8 +272,6 @@ def suite_expectations(quick: bool = False, seed: int = 0) -> list[CheckResult]:
 
 
 def g_sgnuv_vsq_stat(t, s):
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
     return np.sign(t * s) * s * s
 
 

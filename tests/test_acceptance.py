@@ -176,7 +176,7 @@ def test_full_goldens_make_up_the_full_verify_all_csv():
     assert len({header for header, _ in parts}) == 1
     full = parts[0][0] + b"\n" + b"".join(rows for _, rows in parts)
     assert hashlib.sha256(full).hexdigest() == (
-        "f994023e988bb608e3799dc19a3df4372a404e99d53a8c1f8d4c08691baaf9fc")
+        "b684d44e86dc17a112070247ddf8225df2be9ccc17890a1478b5a991f2701a3f")
 
 
 def test_criterion_6_integral_constants(appendix_rows):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import saflow.landscape as ls
+import saflow.verify as verify
 from saflow.calculus import dir_second_derivative, gradient, phi
 from saflow.measurement import REAL, gen_sensing, gen_signal, observe, rng_for
 from saflow.verify import inequality_report, rational_integral_report
@@ -74,22 +75,24 @@ def test_mc_indicator_expectation_examples():
         ls.mc_indicator_expectation(lambda t, s: t, 0.5, 1.0, samples=0)
 
 
-def _loop_estimate(g, sigma, lam, h, samples, seed, stream):
-    """One statistic scored alone, with the batched loop the engine replaced."""
+def _loop_estimate(g, sigma, lam, h, samples, seed, stream, dtype=np.float32):
+    """One statistic scored alone, with the batched loop the engine replaced,
+    in `dtype` on each batch's float64 draws rounded to it.  In float64 it is
+    the engine as it was before it scored in float32."""
     tau = math.sqrt(max(1.0 - sigma * sigma, 0.0))
     rng = rng_for(seed, stream)
     total = total_sq = 0.0
     done = 0
     while done < samples:
         k = min(2_000_000, samples - done)
-        v = rng.standard_normal(k)
-        u = sigma * v + tau * rng.standard_normal(k)
+        v = rng.standard_normal(k).astype(dtype)
+        u = sigma * v + tau * rng.standard_normal(k).astype(dtype)
         au, av = np.abs(u), np.abs(v)
         if h is None:
-            vals = np.asarray(g(u, v), dtype=float) * (au <= lam * av)
+            vals = np.asarray(g(u, v), dtype=dtype) * (au <= lam * av)
         else:
-            diff = (au <= (lam + h) * av).astype(float) - (au <= (lam - h) * av)
-            vals = np.asarray(g(u, v), dtype=float) * diff / (2.0 * h)
+            diff = (au <= (lam + h) * av).astype(dtype) - (au <= (lam - h) * av)
+            vals = np.asarray(g(u, v), dtype=dtype) * diff / (2.0 * h)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         done += k
@@ -165,15 +168,20 @@ def test_mc_engine_masks_lam_inf_where_v_is_zero(monkeypatch):
 def test_mc_engine_shell_mask_on_its_edges(monkeypatch, lam, h):
     # the central-difference mask is the bool shell 1{|U| <= (lam+h)|V|} and
     # not 1{|U| <= (lam-h)|V|}; scored against the float difference of the two
-    # indicators on draws with |U| exactly on (lam +- h)|V| or one ulp off it,
-    # at +-0, subnormal and near-overflow |V|
+    # indicators on draws with |U| exactly on (lam +- h)|V| in float32, where
+    # the engine scores, or one float32 ulp off it, at +-0, subnormal and
+    # near-overflow |V|
+    f32 = np.finfo(np.float32)
     rng = rng_for(43)
-    v = np.concatenate([rng.standard_normal(4000),
-                        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1e300, -1.7e308]])
-    edges = [(lam + h) * v, (lam - h) * v]
+    v = np.concatenate([rng.standard_normal(4000).astype(np.float32),
+                        np.array([0.0, -0.0, f32.smallest_subnormal, -f32.smallest_subnormal,
+                                  f32.smallest_normal, 1e-37, 1e37, -f32.max / 1.05],
+                                 dtype=np.float32)])
+    edges = [np.float32(lam + h) * v, np.float32(lam - h) * v]
+    inf = np.float32(np.inf)
     w = np.concatenate([edges[0], edges[1], -edges[0], -edges[1],
-                        np.nextafter(edges[0], np.inf), np.nextafter(edges[0], -np.inf),
-                        np.nextafter(edges[1], np.inf), np.nextafter(edges[1], -np.inf)])
+                        np.nextafter(edges[0], inf), np.nextafter(edges[0], -inf),
+                        np.nextafter(edges[1], inf), np.nextafter(edges[1], -inf)])
     v = np.tile(v, 8)
 
     def edge_rng_for(*key):
@@ -183,7 +191,8 @@ def test_mc_engine_shell_mask_on_its_edges(monkeypatch, lam, h):
             def standard_normal(self, k):
                 assert k == len(v)
                 self.calls += 1
-                return (v if self.calls % 2 else w).copy()  # V, then W
+                # V, then W, as float64 draws that round to themselves
+                return (v if self.calls % 2 else w).astype(float)
         return Draws()
 
     g_sign = lambda t, s: np.sign(t) * np.sign(s)  # finite where |U| or |V| is huge
@@ -195,22 +204,49 @@ def test_mc_engine_shell_mask_on_its_edges(monkeypatch, lam, h):
         assert (est.mean, est.std_error) == _loop_estimate(*stat, len(v), 0, 0)
 
 
+def test_float32_scoring_moves_no_verify_estimate_by_a_hundredth_of_its_error(monkeypatch):
+    # verify's own Monte Carlo statistics at its quick budget, scored by the
+    # float32 engine and in float64 on the same draws: every estimate agrees
+    # within 0.01 standard errors, so float32 arithmetic sways no verdict
+    passes = {}
+
+    def capture(stats, samples, seed, stream):
+        passes[stream] = (list(stats), samples, seed)
+        return [ls.MCEstimate(0.0, 1.0, samples)] * len(stats)
+
+    monkeypatch.setattr(ls, "_mc_estimates", capture)
+    monkeypatch.setattr(verify, "ordered_map", lambda calls: [call() for call in calls])
+    verify.run_suite("expectations", quick=True, seed=0)
+    monkeypatch.undo()
+    assert sorted(passes) == [ls.MC_EXPECTATION_STREAM, ls.MC_RATE_STREAM]
+    assert sum(len(stats) for stats, _, _ in passes.values()) == 46
+    for stream, (stats, samples, seed) in passes.items():
+        assert (samples, seed) == (1_000_000, 0)
+        for stat, est in zip(stats, ls._mc_estimates(stats, samples, seed, stream)):
+            mean, se = _loop_estimate(*stat, samples, seed, stream, dtype=np.float64)
+            assert abs(est.mean - mean) <= 0.01 * se, stat
+            assert est.std_error == pytest.approx(se, rel=1e-4), stat
+
+
 @pytest.mark.parametrize("leaf", [128, ls._MC_LEAF])
 @pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 65_536, 65_537,
                                1_000_000, 2_000_000, 2_000_001])
 def test_leaf_sums_recombine_to_numpy_sum(monkeypatch, n, leaf):
     # the engine relies on numpy's summation order, which numpy does not
-    # promise: if it changes, this fails instead of the estimates drifting
+    # promise: if it changes, this fails instead of the estimates drifting.
+    # The engine sums float32 values; float64 keeps the tree's general claim
     monkeypatch.setattr(ls, "_MC_LEAF", leaf)
     rng = rng_for(41)
-    x = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 13, n)
-    pieces = []
+    x64 = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 13, n)
+    for x in (x64.astype(np.float32), x64):
+        pieces = []
 
-    def leaf_sum(a, b):
-        pieces.append((a, b))
-        return x[a:b].sum()
+        def leaf_sum(a, b):
+            pieces.append((a, b))
+            return x[a:b].sum()
 
-    assert ls._pairwise_sum(leaf_sum, 0, n) == np.sum(x)
+        total = ls._pairwise_sum(leaf_sum, 0, n)
+        assert total.dtype == x.dtype and total == np.sum(x)
     assert pieces[0][0] == 0 and pieces[-1][1] == n
     assert all(b == a_next for (_, b), (a_next, _) in zip(pieces, pieces[1:]))
     assert all(0 < b - a <= leaf for a, b in pieces)
