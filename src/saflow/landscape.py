@@ -25,10 +25,9 @@ from .quadpack import quad
 
 MC_DEFAULT_SAMPLES = 10_000_000
 _MC_BATCH = 2_000_000
-# Most draws a Monte Carlo piece scores at once: 256 KiB per float32 array,
-# so the few arrays a piece holds stay in cache instead of streaming whole
-# 8 MB batch arrays through memory.  At least 128 (numpy's pairwise block),
-# so every piece is a leaf of numpy's summation tree.
+# Most draws a Monte Carlo leaf scores at once: 256 KiB per float32 array,
+# so the few arrays a leaf holds stay in cache instead of streaming whole
+# 8 MB batch arrays through memory.  Like _MC_BATCH, part of the output.
 _MC_LEAF = 65_536
 
 
@@ -79,21 +78,6 @@ MC_EXPECTATION_STREAM = 4  # draw stream of mc_indicator_expectation
 MC_RATE_STREAM = 5         # draw stream of mc_indicator_rate_fd
 
 
-def _pairwise_sum(leaf_sum, start: int, n: int):
-    """The sum of n values from `start` on, added up as numpy's np.sum adds them.
-
-    numpy's pairwise summation splits n > 128 values at n//2 rounded down to
-    a multiple of 8, recursively.  This cuts the same tree until a piece
-    holds at most _MC_LEAF values, takes leaf_sum(a, b), the np.sum of the
-    values a..b-1, on each piece in order, and adds the pieces' sums back up
-    the tree, so the result equals np.sum of all n values bit for bit.
-    """
-    if n <= _MC_LEAF:
-        return leaf_sum(start, start + n)
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(leaf_sum, start, half) + _pairwise_sum(leaf_sum, start + half, n - half)
-
-
 def _mc_estimates(stats, samples: int, seed: int, stream: int) -> list[MCEstimate]:
     """Score every statistic in `stats` on one shared pass of draws.
 
@@ -107,16 +91,14 @@ def _mc_estimates(stats, samples: int, seed: int, stream: int) -> list[MCEstimat
     alone; statistics that share sigma share U, and those that also share g
     share its values.
 
-    Each batch's float64 draws are rounded to float32 and every statistic is
-    scored in float32: U, the masks' thresholds, g's values and their sums
-    over a batch; the totals over batches add up in float64.  A 10^7-draw
-    estimate's standard error is about 1e-4 relative, three orders of
-    magnitude above float32 rounding.
-    Each batch is scored piece by piece on the leaves of numpy's summation
-    tree (_pairwise_sum), so a piece's arrays stay in cache and each batch
-    sum is bitwise np.sum of that statistic's float32 values.  g must
-    therefore act elementwise: g(U, V) on a piece of the draws must be that
-    piece of g on the whole batch.
+    Each batch's float64 draws are rounded to float32 and scored leaf by
+    leaf, _MC_LEAF draws at a time, so a leaf's arrays stay in cache.  Every
+    statistic is scored in float32: U, the masks' thresholds, g's values and
+    their sums over a leaf; the leaves' sums are added, in draw order, to
+    float64 totals.  A 10^7-draw estimate's standard error is about 1e-4
+    relative, three orders of magnitude above float32 rounding.  g must act
+    elementwise: g(U, V) on a leaf of the draws must be that leaf of g on
+    the whole batch.
     """
     f32 = np.float32
     if samples < 1:
@@ -126,8 +108,8 @@ def _mc_estimates(stats, samples: int, seed: int, stream: int) -> list[MCEstimat
         tau = _tau(sigma)
         if not lam > 0.0:  # lam = inf is the unrestricted expectation
             raise ValueError(f"lam must be positive, got {lam!r}")
-        if h is not None and not 0 < h < lam:
-            raise ValueError("need 0 < h < lam")
+        if h is not None and not 0 < h < lam < math.inf:
+            raise ValueError("need 0 < h < lam < inf")
         groups.setdefault((sigma, tau), {}).setdefault(g, []).append(i)
 
     def score(a: int, b: int) -> np.ndarray:
@@ -172,7 +154,8 @@ def _mc_estimates(stats, samples: int, seed: int, stream: int) -> list[MCEstimat
         k = min(_MC_BATCH, samples - done)
         v = rng.standard_normal(k).astype(f32)
         w = rng.standard_normal(k).astype(f32)
-        totals += _pairwise_sum(score, 0, k)
+        for a in range(0, k, _MC_LEAF):
+            totals += score(a, min(a + _MC_LEAF, k))
         done += k
     out = []
     for total, total_sq in totals.T.tolist():

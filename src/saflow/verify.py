@@ -338,7 +338,7 @@ def suite_landscape(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     worst = 0.0
     for t in np.linspace(0.01, 0.99, 25):
         for sigma in np.linspace(0.0, 0.95, 20):
-            tau = math.sqrt(1 - sigma * sigma)
+            tau = ls._tau(sigma)
             b = ls.signed_rate_kernel(float(t), float(sigma))
             q = ls.scaled_rate_kernel(float(t), float(sigma))
             worst = max(worst, abs(b - tau ** 3 * sigma * q))
@@ -360,7 +360,7 @@ def suite_landscape(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     worst_ag = -math.inf
     for sigma in np.round(np.arange(0.05, 0.951, 0.05), 3):
         sigma = float(sigma)
-        tau = math.sqrt(1 - sigma * sigma)
+        tau = ls._tau(sigma)
         worst_ag = max(worst_ag,
                        ls.expected_alignment_gradient(sigma, 0.5) / (sigma * tau ** 3))
     rows.append(CheckResult("alignment_gradient_negative", "sigma in {0.05..0.95}",

@@ -176,7 +176,7 @@ def test_full_goldens_make_up_the_full_verify_all_csv():
     assert len({header for header, _ in parts}) == 1
     full = parts[0][0] + b"\n" + b"".join(rows for _, rows in parts)
     assert hashlib.sha256(full).hexdigest() == (
-        "b684d44e86dc17a112070247ddf8225df2be9ccc17890a1478b5a991f2701a3f")
+        "d2595ff35350d73cc9ed8af938a2690fdc6c1d27d23c5ed9a8da3730a3fe1576")
 
 
 def test_criterion_6_integral_constants(appendix_rows):

@@ -77,8 +77,9 @@ def test_mc_indicator_expectation_examples():
 
 def _loop_estimate(g, sigma, lam, h, samples, seed, stream, dtype=np.float32):
     """One statistic scored alone, with the batched loop the engine replaced,
-    in `dtype` on each batch's float64 draws rounded to it.  In float64 it is
-    the engine as it was before it scored in float32."""
+    in `dtype` on each batch's float64 draws rounded to it, its values summed
+    with np.sum a leaf at a time and the leaf sums added up in float64.  In
+    float64 it is the reference that float32 scoring is measured against."""
     tau = math.sqrt(max(1.0 - sigma * sigma, 0.0))
     rng = rng_for(seed, stream)
     total = total_sq = 0.0
@@ -93,14 +94,16 @@ def _loop_estimate(g, sigma, lam, h, samples, seed, stream, dtype=np.float32):
         else:
             diff = (au <= (lam + h) * av).astype(dtype) - (au <= (lam - h) * av)
             vals = np.asarray(g(u, v), dtype=dtype) * diff / (2.0 * h)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+        for a in range(0, k, ls._MC_LEAF):
+            leaf = vals[a:a + ls._MC_LEAF]
+            total += float(leaf.sum())
+            total_sq += float((leaf * leaf).sum())
         done += k
     mean = total / samples
     return mean, math.sqrt(max(total_sq / samples - mean * mean, 0.0) / samples)
 
 
-def test_mc_engine_one_pass_is_bitwise_one_at_a_time():
+def test_mc_engine_one_pass_is_bitwise_one_at_a_time(monkeypatch):
     g_abs = lambda t, s: np.abs(t * s)
     g_tsq = lambda t, s: t * t
     g_signed = lambda t, s: np.sign(t * s) * t * t
@@ -117,10 +120,14 @@ def test_mc_engine_one_pass_is_bitwise_one_at_a_time():
         (g_tsq, 1.0, 0.5, 0.1),
     ]
     samples = 2_000_001  # leaves a 1-sample last batch
-    together = ls._mc_estimates(stats, samples, seed=3, stream=7)
-    for stat, est in zip(stats, together):
-        assert est.samples == samples
-        assert (est.mean, est.std_error) == _loop_estimate(*stat, samples, 3, 7)
+    # 65 536 leaves a partial leaf in each full batch; 1000 many whole leaves
+    for leaf in (ls._MC_LEAF, 1000):
+        monkeypatch.setattr(ls, "_MC_LEAF", leaf)
+        together = ls._mc_estimates(stats, samples, seed=3, stream=7)
+        for stat, est in zip(stats, together):
+            assert est.samples == samples
+            assert (est.mean, est.std_error) == _loop_estimate(*stat, samples, 3, 7)
+    monkeypatch.undo()
     # the public estimators are the engine's one-statistic case on their streams
     g, sigma, lam, _ = stats[2]
     alone = ls.mc_indicator_expectation(g, sigma, lam, samples=samples, seed=3)
@@ -228,33 +235,9 @@ def test_float32_scoring_moves_no_verify_estimate_by_a_hundredth_of_its_error(mo
             assert est.std_error == pytest.approx(se, rel=1e-4), stat
 
 
-@pytest.mark.parametrize("leaf", [128, ls._MC_LEAF])
-@pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 65_536, 65_537,
-                               1_000_000, 2_000_000, 2_000_001])
-def test_leaf_sums_recombine_to_numpy_sum(monkeypatch, n, leaf):
-    # the engine relies on numpy's summation order, which numpy does not
-    # promise: if it changes, this fails instead of the estimates drifting.
-    # The engine sums float32 values; float64 keeps the tree's general claim
-    monkeypatch.setattr(ls, "_MC_LEAF", leaf)
-    rng = rng_for(41)
-    x64 = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 13, n)
-    for x in (x64.astype(np.float32), x64):
-        pieces = []
-
-        def leaf_sum(a, b):
-            pieces.append((a, b))
-            return x[a:b].sum()
-
-        total = ls._pairwise_sum(leaf_sum, 0, n)
-        assert total.dtype == x.dtype and total == np.sum(x)
-    assert pieces[0][0] == 0 and pieces[-1][1] == n
-    assert all(b == a_next for (_, b), (a_next, _) in zip(pieces, pieces[1:]))
-    assert all(0 < b - a <= leaf for a, b in pieces)
-
-
 def test_mc_engine_peak_memory_stays_near_the_draws():
     # a 2M-sample batch's two draw arrays take 30.5 MiB; the bound leaves
-    # room for one piece's temporaries, not for one 15 MiB batch-sized array
+    # room for one leaf's temporaries, not for one 15 MiB batch-sized array
     g_tsq = lambda t, s: t * t
     g_abs = lambda t, s: np.abs(t * s)
     stats = [(g_tsq, 0.25, 1.0, None), (g_abs, 0.75, np.inf, None),
@@ -278,6 +261,9 @@ def test_mc_estimators_reject_bad_budget_and_width():
     for h in (0.0, -0.01, 0.5, 0.6):
         with pytest.raises(ValueError):
             ls.mc_indicator_rate_fd(g, 0.5, 0.5, h=h, samples=10)
+    # a finite difference at lam = inf has no boundary to difference across
+    with pytest.raises(ValueError, match="lam < inf"):
+        ls.mc_indicator_rate_fd(g, 0.5, math.inf, h=0.02, samples=10)
     with pytest.raises(ValueError):
         ls._mc_estimates([(g, 0.5, 1.0, None), (g, 0.5, 0.5, 0.5)], 10, 0, 4)
 
