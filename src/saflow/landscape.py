@@ -247,6 +247,7 @@ def scaled_rate_kernel(t: float, sigma: float) -> float:
 
     Satisfies B(t, sigma) = tau^3 sigma Q(t, sigma) identically.
     """
+    _tau(sigma)  # sigma in [0, 1]; Q reads only sigma^2
     denom = (1.0 + t * t) ** 2 - 4.0 * sigma * sigma * t * t
     if denom == 0:
         raise ValueError("pole at sigma = 1, t = 1")

@@ -61,8 +61,9 @@ class ExperimentSpec:
         ratios = {"m_over_n": self.m_over_n, "m_over_n_random": (self.m_over_n_random,),
                   "m_over_n_spectral": (self.m_over_n_spectral,)}
         for key, values in ratios.items():
-            if not (values and all(0 < v < np.inf for v in values)):
-                raise ValueError(f"{key} must be finite and positive, got {getattr(self, key)}")
+            if not (values and all(0 < v and v * self.n < np.inf for v in values)):
+                raise ValueError(f"{key} must be positive with {key} * n finite, "
+                                 f"got {getattr(self, key)} at n={self.n}")
             if any(int(round(v * self.n)) < 1 for v in values):
                 raise ValueError(f"{key} must give m = round({key} * n) >= 1 at n={self.n}, "
                                  f"got {getattr(self, key)}")

@@ -5,11 +5,17 @@ Each suite returns CheckResult rows, the check record that
 write_report_csv writes as the report CSV; a suite passes when every row
 passes.  `quick=True` shrinks sampling budgets for fast smoke runs; the
 defaults match the tolerances the package is validated against.
+
+Rows come from three rules: `_bound` passes when `value op limit` and
+`_close` when `|value - target| <= tol`, each parsing its threshold from the
+text the row prints, so a NaN value fails both; `_mc` prints a Monte Carlo
+estimate beside the verdict its caller scored in standard errors.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import astuple, dataclass
 from functools import partial
@@ -36,6 +42,26 @@ class CheckResult:
 
 def write_report_csv(rows: list[CheckResult], path) -> None:
     write_csv(path, "check_id,input,expected,actual,tolerance,pass", map(astuple, rows))
+
+
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _bound(check_id, inp, expected, value, op, limit) -> CheckResult:
+    """Passes when `value op limit`; `limit` is the printed tolerance text."""
+    return CheckResult(check_id, inp, expected, repr(value), limit,
+                       bool(_OPS[op](value, float(limit))))
+
+
+def _close(check_id, inp, target, value, tol) -> CheckResult:
+    """Passes when |value - target| <= tol; `tol` is the printed tolerance text."""
+    return CheckResult(check_id, inp, repr(target), repr(value), tol,
+                       bool(abs(value - target) <= float(tol)))
+
+
+def _mc(check_id, inp, expected, est, passed) -> CheckResult:
+    return CheckResult(check_id, inp, expected, f"{est.mean!r} (se={est.std_error:.2e})",
+                       "3 std errors", bool(passed))
 
 
 # --- representative integrand families (vectorized in both arguments) ------
@@ -110,22 +136,16 @@ def suite_calculus(quick: bool = False, seed: int = 0) -> list[CheckResult]:
         worst_bound = max(worst_bound, float(np.max(np.abs(val) - (np.abs(uc) + np.abs(vc)))))
         worst_lower = max(worst_lower, float(np.max((uc * uc - np.abs(uc * vc)) - val * uc)))
         worst_lip = max(worst_lip, float(np.max(np.abs(val - val2) - lip * np.abs(uc - u2c))))
-    tol = 1e-9
-    rows.append(CheckResult("psi_u_upper_bound", f"{samples} samples",
-                            "|psi_u| <= |u|+|v|", repr(worst_bound), repr(tol),
-                            worst_bound <= tol))
-    rows.append(CheckResult("psi_u_lower_bound", f"{samples} samples",
-                            "psi_u*u >= u^2-|uv|", repr(worst_lower), repr(tol),
-                            worst_lower <= tol))
-    rows.append(CheckResult("psi_u_lipschitz", f"{samples} samples",
-                            "max(1,1/beta-1/2)-Lipschitz in u", repr(worst_lip),
-                            repr(tol), worst_lip <= tol))
+    inp, tol = f"{samples} samples", "1e-09"
+    rows.append(_bound("psi_u_upper_bound", inp, "|psi_u| <= |u|+|v|", worst_bound, "<=", tol))
+    rows.append(_bound("psi_u_lower_bound", inp, "psi_u*u >= u^2-|uv|", worst_lower, "<=", tol))
+    rows.append(_bound("psi_u_lipschitz", inp, "max(1,1/beta-1/2)-Lipschitz in u", worst_lip,
+                       "<=", tol))
     # a weaker constant sometimes quoted for this derivative, max(1,|2-1/beta|),
     # is falsified at beta=1/2: |psi_u(0.1,1) - psi_u(0,1)| = 0.148 > 0.1
     gap = float(abs(psi_u(0.1, 1.0, 0.5)) - max(1.0, abs(2.0 - 1.0 / 0.5)) * 0.1)
-    rows.append(CheckResult("psi_u_lipschitz_weak_constant_fails",
-                            "u1=0.1 u2=0 v=1 beta=0.5",
-                            "violation > 0", repr(gap), "0", gap > 0))
+    rows.append(_bound("psi_u_lipschitz_weak_constant_fails", "u1=0.1 u2=0 v=1 beta=0.5",
+                       "violation > 0", gap, ">", "0"))
 
     # gradient against central finite differences at smooth points
     n, m, beta_fd, h = 8, 40, 0.5, 1e-6
@@ -139,9 +159,8 @@ def suite_calculus(quick: bool = False, seed: int = 0) -> list[CheckResult]:
             e[j] = h
             fd[j] = (loss(z + e, A, y, beta_fd) - loss(z - e, A, y, beta_fd)) / (2 * h)
         worst_rel = max(worst_rel, float(np.linalg.norm(fd - g) / np.linalg.norm(g)))
-    rows.append(CheckResult("gradient_vs_central_fd", f"{fd_points} points n={n} m={m}",
-                            "rel err <= 1e-5", repr(worst_rel), "1e-5",
-                            worst_rel <= 1e-5))
+    rows.append(_bound("gradient_vs_central_fd", f"{fd_points} points n={n} m={m}",
+                       "rel err <= 1e-5", worst_rel, "<=", "1e-5"))
 
     # directional second derivative against second differences
     t = 1e-4
@@ -154,9 +173,8 @@ def suite_calculus(quick: bool = False, seed: int = 0) -> list[CheckResult]:
         sd = (loss(z + t * v, A, y, beta_fd) - 2 * loss(z, A, y, beta_fd)
               + loss(z - t * v, A, y, beta_fd)) / (t * t)
         worst_d2 = max(worst_d2, abs(d2 - sd))
-    rows.append(CheckResult("dir_second_derivative_vs_fd", f"{fd_points} points",
-                            "abs err <= 1e-4", repr(worst_d2), "1e-4",
-                            worst_d2 <= 1e-4))
+    rows.append(_bound("dir_second_derivative_vs_fd", f"{fd_points} points",
+                       "abs err <= 1e-4", worst_d2, "<=", "1e-4"))
 
     # supporting cubic h(t) >= 0 on [0, beta], h(beta) = 0
     n_beta = 20 if quick else 100
@@ -167,19 +185,17 @@ def suite_calculus(quick: bool = False, seed: int = 0) -> list[CheckResult]:
         hv = ls.curvature_lower_cubic(ts, float(b))
         worst_h = min(worst_h, float(hv.min()))
         worst_end = max(worst_end, abs(float(hv[-1])))
-    rows.append(CheckResult("curvature_cubic_nonnegative", f"{n_beta} random beta",
-                            ">= 0 on [0, beta]", repr(worst_h), "-1e-12",
-                            worst_h >= -1e-12))
-    rows.append(CheckResult("curvature_cubic_zero_at_beta", f"{n_beta} random beta",
-                            "h(beta) = 0", repr(worst_end), "1e-12",
-                            worst_end <= 1e-12))
+    rows.append(_bound("curvature_cubic_nonnegative", f"{n_beta} random beta",
+                       ">= 0 on [0, beta]", worst_h, ">=", "-1e-12"))
+    rows.append(_bound("curvature_cubic_zero_at_beta", f"{n_beta} random beta",
+                       "h(beta) = 0", worst_end, "<=", "1e-12"))
 
     # exact zero gradient at the truth
     x = gen_signal(64, REAL, seed)
     A = gen_sensing(384, 64, REAL, seed)
     gnorm = float(np.linalg.norm(gradient(x, A, observe(A, x), 0.5)))
-    rows.append(CheckResult("zero_gradient_at_truth", "n=64 m=384",
-                            "norm <= 1e-12", repr(gnorm), "1e-12", gnorm <= 1e-12))
+    rows.append(_bound("zero_gradient_at_truth", "n=64 m=384", "norm <= 1e-12", gnorm,
+                       "<=", "1e-12"))
     return rows
 
 
@@ -188,14 +204,16 @@ def suite_calculus(quick: bool = False, seed: int = 0) -> list[CheckResult]:
 
 def suite_expectations(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     samples = 1_000_000 if quick else ls.MC_DEFAULT_SAMPLES
-    # a row is a CheckResult or, for Monte Carlo checks, a template completed
-    # once every statistic of its stream is scored in one shared pass
+    # a row is a CheckResult or, for Monte Carlo checks, a function that builds
+    # it once every statistic of its stream is scored in one shared pass
     rows: list = []
     stats = {ls.MC_EXPECTATION_STREAM: [], ls.MC_RATE_STREAM: []}
 
     def mc_row(check_id, inp, expected, stream, stat, passes):
         stats[stream].append(stat)
-        rows.append((check_id, inp, expected, stream, len(stats[stream]) - 1, passes))
+        i = len(stats[stream]) - 1
+        rows.append(lambda ests: _mc(check_id, inp, expected, ests[stream][i],
+                                     passes(ests[stream][i])))
 
     def within(target, slack):
         return lambda est: abs(est.mean - target) <= 3.0 * est.std_error + slack
@@ -218,9 +236,8 @@ def suite_expectations(quick: bool = False, seed: int = 0) -> list[CheckResult]:
             closed = ls.power_rate_closed_form(meta["p"], meta["q"], sigma, lam,
                                                signed=meta["signed"])
             quadv = ls.indicator_expectation_rate(g, sigma, lam)
-            rows.append(CheckResult(
-                f"rate_closed_form_{name}", f"sigma={sigma} lam={lam}",
-                repr(closed), repr(quadv), "1e-8", abs(quadv - closed) <= 1e-8))
+            rows.append(_close(f"rate_closed_form_{name}", f"sigma={sigma} lam={lam}",
+                               closed, quadv, "1e-8"))
 
     # quadrature rate versus Monte Carlo finite differences
     for sigma in (0.0, 0.5):
@@ -259,16 +276,7 @@ def suite_expectations(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     # the two streams' passes are independent: a worker runs the second
     ests = dict(zip(stats, ordered_map(partial(ls._mc_estimates, st, samples, seed, stream)
                                        for stream, st in stats.items())))
-    out = []
-    for row in rows:
-        if not isinstance(row, CheckResult):
-            check_id, inp, expected, stream, i, passes = row
-            est = ests[stream][i]
-            row = CheckResult(check_id, inp, expected,
-                              f"{est.mean!r} (se={est.std_error:.2e})",
-                              "3 std errors", passes(est))
-        out.append(row)
-    return out
+    return [row(ests) if callable(row) else row for row in rows]
 
 
 def g_sgnuv_vsq_stat(t, s):
@@ -309,30 +317,25 @@ def suite_landscape(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     # saddle curvature: negative over the whole admissible smoothing range
     betas = np.round(np.arange(0.01, 0.7501, 0.01), 4)
     g0_vals = np.array([ls.saddle_curvature(float(b)) for b in betas])
-    rows.append(CheckResult("saddle_curvature_negative", "beta in {0.01..0.75}",
-                            "< -0.03", repr(float(g0_vals.max())), "-0.03",
-                            bool(g0_vals.max() < -0.03)))
+    rows.append(_bound("saddle_curvature_negative", "beta in {0.01..0.75}", "< -0.03",
+                       float(g0_vals.max()), "<", "-0.03"))
 
     target = ls.saddle_curvature(0.5)
-    rows.append(CheckResult("saddle_curvature_at_half", "beta=0.5", "-0.1314",
-                            repr(target), "1e-3", abs(target + 0.1314) <= 1e-3))
+    rows.append(_close("saddle_curvature_at_half", "beta=0.5", -0.1314, target, "1e-3"))
 
     # independent Monte Carlo of the same curvature expectation: sigma = 0
     # makes U = W independent of V, and lam = inf drops the indicator
-    rows.append(CheckResult("saddle_curvature_mc", f"{samples} samples",
-                            repr(target), f"{est.mean!r} (se={est.std_error:.2e})",
-                            "3 std errors", abs(est.mean - target) <= 3 * est.std_error))
+    rows.append(_mc("saddle_curvature_mc", f"{samples} samples", repr(target), est,
+                    abs(est.mean - target) <= 3 * est.std_error))
 
     # monotonicity in lam and the z -> 0 limit
     lams = np.linspace(0.05, 20.0, 400)
     gl = np.array([ls.orthogonal_curvature(float(l), 0.5) for l in lams])
-    rows.append(CheckResult("orthogonal_curvature_decreasing", "lam grid",
-                            "diffs < 0", repr(float(np.max(np.diff(gl)))), "0",
-                            bool(np.max(np.diff(gl)) < 0)))
+    rows.append(_bound("orthogonal_curvature_decreasing", "lam grid", "diffs < 0",
+                       float(np.max(np.diff(gl))), "<", "0"))
     limit_err = abs(ls.orthogonal_curvature(1e8, 0.5) - ls.curvature_at_origin(0.5))
-    rows.append(CheckResult("curvature_origin_limit", "lam=1e8 beta=0.5",
-                            repr(ls.curvature_at_origin(0.5)), repr(limit_err),
-                            "1e-6", limit_err <= 1e-6))
+    rows.append(_bound("curvature_origin_limit", "lam=1e8 beta=0.5",
+                       repr(ls.curvature_at_origin(0.5)), limit_err, "<=", "1e-6"))
 
     # kernel identity B = tau^3 sigma Q on a grid
     worst = 0.0
@@ -342,16 +345,13 @@ def suite_landscape(quick: bool = False, seed: int = 0) -> list[CheckResult]:
             b = ls.signed_rate_kernel(float(t), float(sigma))
             q = ls.scaled_rate_kernel(float(t), float(sigma))
             worst = max(worst, abs(b - tau ** 3 * sigma * q))
-    rows.append(CheckResult("kernel_identity", "25x20 grid", "B = tau^3 sigma Q",
-                            repr(float(worst)), "1e-10", worst <= 1e-10))
+    rows.append(_bound("kernel_identity", "25x20 grid", "B = tau^3 sigma Q", float(worst),
+                       "<=", "1e-10"))
 
     # non-vanishing-gradient radius values
-    rows.append(CheckResult("region_radius_orthogonal", "sigma=0",
-                            repr(2 / math.pi), repr(ls.region_radius(0.0)), "1e-12",
-                            abs(ls.region_radius(0.0) - 2 / math.pi) <= 1e-12))
-    rows.append(CheckResult("region_radius_aligned", "sigma=1", "1.0",
-                            repr(ls.region_radius(1.0)), "1e-12",
-                            abs(ls.region_radius(1.0) - 1.0) <= 1e-12))
+    rows.append(_close("region_radius_orthogonal", "sigma=0", 2 / math.pi,
+                       ls.region_radius(0.0), "1e-12"))
+    rows.append(_close("region_radius_aligned", "sigma=1", 1.0, ls.region_radius(1.0), "1e-12"))
     rr = max(ls.region_radius(float(s)) for s in np.linspace(0, 1, 1001))
     rows.append(CheckResult("region_radius_max", "sigma grid[1001]", "<= 1",
                             repr(rr), "1e-12", rr <= 1.0 + 1e-12))
@@ -363,8 +363,8 @@ def suite_landscape(quick: bool = False, seed: int = 0) -> list[CheckResult]:
         tau = ls._tau(sigma)
         worst_ag = max(worst_ag,
                        ls.expected_alignment_gradient(sigma, 0.5) / (sigma * tau ** 3))
-    rows.append(CheckResult("alignment_gradient_negative", "sigma in {0.05..0.95}",
-                            "< -0.01", repr(worst_ag), "-0.01", worst_ag < -0.01))
+    rows.append(_bound("alignment_gradient_negative", "sigma in {0.05..0.95}", "< -0.01",
+                       worst_ag, "<", "-0.01"))
 
     # increasing in beta (finite differences at 20 points)
     worst_db = math.inf
@@ -372,41 +372,24 @@ def suite_landscape(quick: bool = False, seed: int = 0) -> list[CheckResult]:
         d = (ls.expected_alignment_gradient(float(sigma), 0.52)
              - ls.expected_alignment_gradient(float(sigma), 0.48))
         worst_db = min(worst_db, d)
-    rows.append(CheckResult("alignment_gradient_increasing_in_beta",
-                            "20 sigma points", "> 0", repr(worst_db), "0",
-                            worst_db > 0))
+    rows.append(_bound("alignment_gradient_increasing_in_beta", "20 sigma points", "> 0",
+                       worst_db, ">", "0"))
 
-    # empirical scan over fresh instances
-    radial_ok, curv_ok, convex_ok = True, True, True
-    worst_radial, worst_curv, worst_convex = math.inf, -math.inf, math.inf
-    for pts in scans:
-        for p in pts:
-            if p.norm_z >= ls.region_radius(p.sigma) + 0.1:
-                worst_radial = min(worst_radial, p.radial_grad)
-                radial_ok &= p.radial_grad > 0
-            if p.sigma <= 0.1 and 0.05 <= p.norm_z <= 1.0:
-                worst_curv = max(worst_curv, p.curv_x)
-                curv_ok &= p.curv_x < 0
-            if p.dist_to_x <= 0.05:
-                worst_convex = min(worst_convex, p.min_dir_curv)
-                convex_ok &= p.min_dir_curv >= 0.25
-    rows.append(CheckResult("scan_radial_gradient_positive",
-                            f"n={n} m={mult}n seeds={len(seeds)}",
-                            "> 0 beyond radius+0.1", repr(worst_radial), "0",
-                            radial_ok))
-    rows.append(CheckResult("scan_curvature_x_negative",
-                            f"n={n} m={mult}n seeds={len(seeds)}",
-                            "< 0 for sigma<=0.1, 0.05<=|z|<=1", repr(worst_curv),
-                            "0", curv_ok))
-    rows.append(CheckResult("scan_strong_convexity_near_truth",
-                            f"n={n} m={mult}n seeds={len(seeds)}",
-                            ">= 0.25 within 0.05 of x", repr(worst_convex),
-                            "0.25", convex_ok))
-    rows.append(CheckResult("convexity_radius_constant", "beta=0.5",
-                            repr(math.sqrt(5.0 / 12.0) - 0.5),
-                            repr(ls.convexity_radius_constant(0.5)), "1e-12",
-                            abs(ls.convexity_radius_constant(0.5)
-                                - (math.sqrt(5.0 / 12.0) - 0.5)) <= 1e-12))
+    # empirical scan over fresh instances: each row reads its region's worst
+    # probe (np.min and np.max propagate NaN, so a NaN probe fails its row)
+    pts = [p for instance in scans for p in instance]
+    inp = f"n={n} m={mult}n seeds={len(seeds)}"
+    radial = [p.radial_grad for p in pts if p.norm_z >= ls.region_radius(p.sigma) + 0.1]
+    curv = [p.curv_x for p in pts if p.sigma <= 0.1 and 0.05 <= p.norm_z <= 1.0]
+    convex = [p.min_dir_curv for p in pts if p.dist_to_x <= 0.05]
+    rows.append(_bound("scan_radial_gradient_positive", inp, "> 0 beyond radius+0.1",
+                       float(np.min(radial, initial=math.inf)), ">", "0"))
+    rows.append(_bound("scan_curvature_x_negative", inp, "< 0 for sigma<=0.1, 0.05<=|z|<=1",
+                       float(np.max(curv, initial=-math.inf)), "<", "0"))
+    rows.append(_bound("scan_strong_convexity_near_truth", inp, ">= 0.25 within 0.05 of x",
+                       float(np.min(convex, initial=math.inf)), ">=", "0.25"))
+    rows.append(_close("convexity_radius_constant", "beta=0.5", math.sqrt(5.0 / 12.0) - 0.5,
+                       ls.convexity_radius_constant(0.5), "1e-12"))
     return rows
 
 
@@ -422,26 +405,20 @@ def rational_integral_report() -> list[CheckResult]:
     1.15135 belong to t = 1/4 and t = 1/3 respectively.  Each report row
     records the quadrature truth.
     """
-    rows: list[CheckResult] = []
     surd_6 = (9.0 / 16.0) * (8.0 - 3.0 * math.sqrt(6.0)) * math.pi
     surd_3 = (8.0 / 9.0) * (9.0 - 5.0 * math.sqrt(3.0)) * math.pi
     cases = [
-        ("rational_integral_t0", 0.0, 3.0 * math.pi / 16.0, 1e-8),
-        ("rational_integral_t_quarter", 0.25, 0.94875, 1e-4),
-        ("rational_integral_t_third", 1.0 / 3.0, 1.15135, 1e-4),
+        ("rational_integral_t0", 0.0, 3.0 * math.pi / 16.0, "1e-08"),
+        ("rational_integral_t_quarter", 0.25, 0.94875, "0.0001"),
+        ("rational_integral_t_third", 1.0 / 3.0, 1.15135, "0.0001"),
     ]
     vals = [ls.rational_integral(t) for _, t, _, _ in cases]
-    for (check_id, t, target, tol), val in zip(cases, vals):
-        rows.append(CheckResult(check_id, f"t={t:.6g}", repr(target), repr(val),
-                                repr(tol), abs(val - target) <= tol))
+    rows = [_close(check_id, f"t={t:.6g}", target, val, tol)
+            for (check_id, t, target, tol), val in zip(cases, vals)]
     # which surd form belongs to which t, judged by quadrature
     _, v_quarter, v_third = vals
-    rows.append(CheckResult(
-        "surd_form_pairing_t_quarter", "t=0.25", repr(surd_3), repr(v_quarter),
-        repr(1e-8), abs(v_quarter - surd_3) <= 1e-8))
-    rows.append(CheckResult(
-        "surd_form_pairing_t_third", "t=0.3333...", repr(surd_6), repr(v_third),
-        repr(1e-8), abs(v_third - surd_6) <= 1e-8))
+    rows.append(_close("surd_form_pairing_t_quarter", "t=0.25", surd_3, v_quarter, "1e-08"))
+    rows.append(_close("surd_form_pairing_t_third", "t=0.3333...", surd_6, v_third, "1e-08"))
     return rows
 
 
@@ -454,25 +431,24 @@ def inequality_report(grid_points: int = 1000) -> list[CheckResult]:
     for name, fn in (("monotone_f0_halfpi", ls.monotone_f0_halfpi),
                      ("monotone_f0_normalized", ls.monotone_f0_normalized)):
         vals = np.array([fn(t) for t in taus])
-        min_diff = float(np.min(np.diff(vals)))
-        rows.append(CheckResult(f"{name}_increasing", f"tau grid[{grid_points}]",
-                                "diffs > 0", repr(min_diff), "0", min_diff > 0))
+        rows.append(_bound(f"{name}_increasing", f"tau grid[{grid_points}]", "diffs > 0",
+                           float(np.min(np.diff(vals))), ">", "0"))
 
     xs = np.linspace(1e-3, math.pi / 2 - 1e-3, grid_points)
     f1p = np.array([ls.increasing_ratio_deriv(x) for x in xs])
-    rows.append(CheckResult("ratio_deriv_nonnegative", f"x grid[{grid_points}]",
-                            ">= 0", repr(float(f1p.min())), "0", bool(f1p.min() >= 0)))
+    rows.append(_bound("ratio_deriv_nonnegative", f"x grid[{grid_points}]", ">= 0",
+                       float(f1p.min()), ">=", "0"))
 
     ss = np.linspace(1.0 / 3.0, 2.0 / 3.0, grid_points)
     hs = (3.0 * ss - 1.0) * np.arcsin(np.sqrt(ss)) / np.sqrt(ss) \
         + (1.0 + ss) * np.sqrt(1.0 - ss) - math.pi * ss
-    rows.append(CheckResult("arcsin_combination_nonnegative", f"s grid[{grid_points}]",
-                            ">= 0", repr(float(hs.min())), "0", bool(hs.min() >= 0)))
+    rows.append(_bound("arcsin_combination_nonnegative", f"s grid[{grid_points}]", ">= 0",
+                       float(hs.min()), ">=", "0"))
 
     s_all = np.linspace(1e-9, 1.0 - 1e-9, grid_points)
     gap = ls.arcsin_ratio_lower(s_all)
-    rows.append(CheckResult("arcsin_ratio_lower_bound", f"s grid[{grid_points}]",
-                            ">= 0", repr(float(gap.min())), "0", bool(gap.min() >= 0)))
+    rows.append(_bound("arcsin_ratio_lower_bound", f"s grid[{grid_points}]", ">= 0",
+                       float(gap.min()), ">=", "0"))
 
     s01 = np.linspace(0.0, 1.0, grid_points)
     a = ls.hull_poly(s01)
@@ -484,27 +460,25 @@ def inequality_report(grid_points: int = 1000) -> list[CheckResult]:
         "0", ok))
 
     g1 = ls.sqrt_gap_poly(ss)
-    rows.append(CheckResult("sqrt_gap_poly_positive", f"s grid[{grid_points}]",
-                            "> 0", repr(float(g1.min())), "0", bool(g1.min() > 0)))
-    g1_diff = float(np.max(np.diff(g1)))
-    rows.append(CheckResult("sqrt_gap_poly_decreasing", f"s grid[{grid_points}]",
-                            "diffs < 0", repr(g1_diff), "0", g1_diff < 0))
-    val = float(ls.sqrt_gap_poly(2.0 / 3.0))
-    rows.append(CheckResult("sqrt_gap_poly_at_two_thirds", "s=2/3", "0.035",
-                            repr(val), "1e-3", abs(val - 0.035) <= 1e-3))
+    rows.append(_bound("sqrt_gap_poly_positive", f"s grid[{grid_points}]", "> 0",
+                       float(g1.min()), ">", "0"))
+    rows.append(_bound("sqrt_gap_poly_decreasing", f"s grid[{grid_points}]", "diffs < 0",
+                       float(np.max(np.diff(g1))), "<", "0"))
+    rows.append(_close("sqrt_gap_poly_at_two_thirds", "s=2/3", 0.035,
+                       float(ls.sqrt_gap_poly(2.0 / 3.0)), "1e-3"))
 
     t23 = np.linspace(2.0 / 3.0, 1.0, grid_points)
     margin = ls.case_boundary_margin(t23)
-    rows.append(CheckResult("case_boundary_margin_nonnegative", f"t grid[{grid_points}]",
-                            ">= 0", repr(float(margin.min())), "0", bool(margin.min() >= 0)))
+    rows.append(_bound("case_boundary_margin_nonnegative", f"t grid[{grid_points}]", ">= 0",
+                       float(margin.min()), ">=", "0"))
 
     thetas = np.linspace(1e-3, math.pi / 2 - 1e-3, grid_points)
     worst = math.inf
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
         vals = ls.angle_family(t, thetas)
         worst = min(worst, float(np.min(np.diff(vals))))
-    rows.append(CheckResult("angle_family_increasing_in_theta", "t in {0,...,1}",
-                            "diffs > 0", repr(worst), "0", worst > 0))
+    rows.append(_bound("angle_family_increasing_in_theta", "t in {0,...,1}", "diffs > 0",
+                       worst, ">", "0"))
     return rows
 
 
@@ -516,22 +490,17 @@ def suite_appendix(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     target = (4.0 / math.pi) * (35.0 / 27.0 - math.log(3.0))
     val, _ = ls.quad(lambda t: (1 + 2 * t ** 3 - 2.5 * t) * ls.scaled_rate_kernel(t, 1.0),
                      0.0, 0.5)
-    rows.append(CheckResult("weighted_kernel_integral", "beta=1/2 sigma=1",
-                            repr(target), repr(val), "1e-6",
-                            abs(val - target) <= 1e-6))
-    rows.append(CheckResult("weighted_kernel_integral_below_bound", "bound 0.26",
-                            "< 0.26", repr(val), "0.26", val < 0.26))
+    rows.append(_close("weighted_kernel_integral", "beta=1/2 sigma=1", target, val, "1e-6"))
+    rows.append(_bound("weighted_kernel_integral_below_bound", "bound 0.26", "< 0.26", val,
+                       "<", "0.26"))
 
     # prefactor limit
-    p0 = ls.alignment_prefactor(0.0)
-    rows.append(CheckResult("alignment_prefactor_limit", "sigma=0",
-                            repr(ls.ALIGNMENT_PREFACTOR_LIMIT), repr(p0), "1e-10",
-                            abs(p0 - ls.ALIGNMENT_PREFACTOR_LIMIT) <= 1e-10))
+    rows.append(_close("alignment_prefactor_limit", "sigma=0", ls.ALIGNMENT_PREFACTOR_LIMIT,
+                       ls.alignment_prefactor(0.0), "1e-10"))
     sigmas = np.linspace(0.0, 0.99, 50)
     pv = np.array([ls.alignment_prefactor(float(s)) for s in sigmas])
-    rows.append(CheckResult("alignment_prefactor_decreasing", "sigma grid[50]",
-                            "diffs < 0", repr(float(np.max(np.diff(pv)))), "0",
-                            bool(np.max(np.diff(pv)) < 0)))
+    rows.append(_bound("alignment_prefactor_decreasing", "sigma grid[50]", "diffs < 0",
+                       float(np.max(np.diff(pv))), "<", "0"))
 
     rows.extend(rational_integral_report())
     rows.extend(inequality_report(grid_points=grid))

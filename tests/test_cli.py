@@ -316,6 +316,10 @@ BENCH = '"n": 8, "m_over_n": 6, '
     ("bench", '{"n": 8, "m_over_n": 0.0625}', "m_over_n"),
     ("sweep", '{"mode": "beta", "n": 2, "m_over_n_random": 0.2}', "m_over_n_random"),
     ("sweep", '{"mode": "beta", "n": 1, "m_over_n_spectral": 0.5}', "m_over_n_spectral"),
+    # ratios whose m = ratio * n overflows to inf
+    ("sweep", '{"mode": "success", "n": 8, "m_over_n": [1e308]}', "m_over_n"),
+    ("bench", '{"n": 8, "m_over_n": 1e308}', "m_over_n"),
+    ("sweep", '{' + BETA + '"m_over_n_random": 1e308}', "m_over_n_random"),
     # keys the command would ignore
     ("bench", '{' + BENCH + '"err_tol": 1e-3}', "'err_tol'"),
     ("sweep", '{' + BETA + '"algorithms": ["saf-random"]}', "'algorithms'"),

@@ -342,6 +342,11 @@ def test_kernel_identity_and_edge_cases():
         ls.scaled_rate_kernel(1.0, 1.0)
     with pytest.raises(ValueError):
         ls.signed_rate_kernel(0.5, 1.0)
+    # Q takes sigma in [0, 1], sigma = 1 included (the appendix integrates Q(t, 1))
+    assert ls.scaled_rate_kernel(0.5, 1.0) == 16 * 0.5 * 1.25 / (math.pi * 0.5625 * 0.5625)
+    for sigma in (-0.1, 1.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma"):
+            ls.scaled_rate_kernel(0.5, sigma)
 
 
 def test_alignment_prefactor():

@@ -240,6 +240,7 @@ def test_multi_algorithm_table_parallel_matches_serial():
     ({"algorithms": ()}, "algorithms"), ({"algorithms": ("saf", "newton")}, "algorithms"),
     ({"n": 1, "m_over_n": (0.4,)}, "m_over_n"), ({"n": 2, "m_over_n_random": 0.2}, "m_over_n_random"),
     ({"n": 1, "m_over_n_spectral": 0.5}, "m_over_n_spectral"),
+    ({"n": 8, "m_over_n": (4, 1e308)}, "m_over_n"),
 ])
 def test_experiment_spec_rejects_out_of_range_fields(changes, named):
     with pytest.raises(ValueError, match=named):

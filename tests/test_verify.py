@@ -6,8 +6,8 @@ import pytest
 import saflow.landscape as ls
 from saflow.calculus import phi
 from saflow.measurement import rng_for
-from saflow.verify import (g_saddle_weight, g_signed_abs_ts, g_ssq, g_tsq, run_suite,
-                           write_report_csv)
+from saflow.verify import (CheckResult, _bound, _close, _mc, g_saddle_weight, g_signed_abs_ts,
+                           g_ssq, g_tsq, run_suite, suite_landscape, write_report_csv)
 
 
 @pytest.mark.parametrize("name", ["calculus", "expectations", "landscape", "appendix"])
@@ -103,3 +103,44 @@ def test_saddle_weight_keeps_the_bits_of_the_signed_ratio_form():
         new = g_saddle_weight(_T, _S)
     assert (np.abs(ratio) == 0.5).any() and (_S == 0).any()
     assert _bits(new) == _bits(old)
+
+
+@pytest.mark.parametrize("op,at_limit", [("<", False), ("<=", True), (">", False), (">=", True)])
+def test_bound_rule_prints_its_limit_text_and_is_strict_only_for_strict_ops(op, at_limit):
+    assert _bound("c", "in", "e", 1e-9, op, "1e-09") == CheckResult(
+        "c", "in", "e", "1e-09", "1e-09", at_limit)
+    assert _bound("c", "in", "e", 0.5, op, "0.25").passed == (op in (">", ">="))
+    assert not _bound("c", "in", "e", math.nan, op, "0.25").passed
+
+
+def test_close_rule_passes_at_exactly_its_tolerance():
+    assert _close("c", "in", 1.0, 1.5, "0.5") == CheckResult("c", "in", "1.0", "1.5", "0.5", True)
+    assert not _close("c", "in", 1.0, 1.5000000000000002, "0.5").passed
+    assert not _close("c", "in", 1.0, math.nan, "0.5").passed
+    assert not _close("c", "in", math.nan, 1.0, "0.5").passed
+
+
+def test_mc_rule_prints_mean_and_standard_error():
+    est = ls.MCEstimate(-0.125, 4.1e-05, 10)
+    assert _mc("c", "in", "e", est, True) == CheckResult(
+        "c", "in", "e", "-0.125 (se=4.10e-05)", "3 std errors", True)
+    nan = ls.MCEstimate(math.nan, 1.0, 10)
+    assert not _mc("c", "in", "e", nan, abs(nan.mean) <= 3 * nan.std_error).passed
+
+
+def test_scan_row_fails_on_a_nan_probe_in_its_region(monkeypatch):
+    # probes in each region: radial (|z| >= region radius + 0.1), curvature
+    # along x (sigma <= 0.1, 0.05 <= |z| <= 1) and convexity (within 0.05 of
+    # x); Python's min would skip the NaN after a finite probe
+    probes = [ls.ScanPoint(1.2, 0.0, 1.6, 1.0, -1.0, -1.0),
+              ls.ScanPoint(1.5, 0.0, 1.8, math.nan, -1.0, -1.0),
+              ls.ScanPoint(0.5, 0.0, 1.1, -1.0, -0.2, -1.0),
+              ls.ScanPoint(1.0, 1.0, 0.0, -1.0, 1.0, 0.5)]
+    monkeypatch.setattr(ls, "landscape_scan", lambda *args, **kwargs: probes)
+    rows = {r.check_id: r for r in suite_landscape(quick=True)}
+    verdicts = {k: (rows[k].actual, rows[k].passed) for k in (
+        "scan_radial_gradient_positive", "scan_curvature_x_negative",
+        "scan_strong_convexity_near_truth")}
+    assert verdicts == {"scan_radial_gradient_positive": ("nan", False),
+                        "scan_curvature_x_negative": ("-0.2", True),
+                        "scan_strong_convexity_near_truth": ("0.5", True)}
