@@ -534,6 +534,6 @@ def landscape_scan(
                 dist_to_x=math.sqrt(max(nz * nz + 1.0 - 2.0 * nz * sigma, 0.0)),
                 radial_grad=float(np.mean(radials[probe])),
                 curv_x=float(np.mean(curvs[probe])),
-                min_dir_curv=min(min_dirs[probe]),
+                min_dir_curv=float(np.min(min_dirs[probe])),
             ))
     return points

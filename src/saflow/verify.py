@@ -6,10 +6,11 @@ write_report_csv writes as the report CSV; a suite passes when every row
 passes.  `quick=True` shrinks sampling budgets for fast smoke runs; the
 defaults match the tolerances the package is validated against.
 
-Rows come from three rules: `_bound` passes when `value op limit` and
-`_close` when `|value - target| <= tol`, each parsing its threshold from the
-text the row prints, so a NaN value fails both; `_mc` prints a Monte Carlo
-estimate beside the verdict its caller scored in standard errors.
+Rows come from three rules: `_bound` judges the worst of the values its
+caller computed, passing when `worst op limit`, and `_close` passes when
+`|value - target| <= tol`, each parsing its threshold from the text the row
+prints, so a NaN value fails both; `_mc` prints a Monte Carlo estimate beside
+the verdict its caller scored in standard errors.
 """
 
 from __future__ import annotations
@@ -47,10 +48,14 @@ def write_report_csv(rows: list[CheckResult], path) -> None:
 _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def _bound(check_id, inp, expected, value, op, limit) -> CheckResult:
-    """Passes when `value op limit`; `limit` is the printed tolerance text."""
-    return CheckResult(check_id, inp, expected, repr(value), limit,
-                       bool(_OPS[op](value, float(limit))))
+def _bound(check_id, inp, expected, values, op, limit) -> CheckResult:
+    """Passes when the worst of `values` (a scalar, an array or a list of
+    equal-length arrays) satisfies `worst op limit`; `limit` is the printed
+    tolerance text.  The worst is np.min for `>`/`>=` and np.max for `<`/`<=`,
+    which propagate NaN; an empty `values` raises ValueError."""
+    worst = float((np.min if op[0] == ">" else np.max)(values))
+    return CheckResult(check_id, inp, expected, repr(worst), limit,
+                       bool(_OPS[op](worst, float(limit))))
 
 
 def _close(check_id, inp, target, value, tol) -> CheckResult:
@@ -122,7 +127,7 @@ def suite_calculus(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     v = 5.0 * rng.standard_normal(samples)
     beta = rng.uniform(1e-3, 1.0 - 1e-9, samples)
     # scored a slice at a time to bound the temporaries; max over slices is exact
-    worst_bound = worst_lower = worst_lip = -math.inf
+    excess = []
     for start in range(0, samples, ls._MC_LEAF):
         cut = slice(start, start + ls._MC_LEAF)
         uc, u2c, vc, bc = u[cut], u2[cut], v[cut], beta[cut]
@@ -133,13 +138,14 @@ def suite_calculus(quick: bool = False, seed: int = 0) -> list[CheckResult]:
         # the sharp u-Lipschitz constant is max(1, 1/beta - 1/2): the inner-branch
         # slope runs from 1/2 - 1/beta (at u=0) to 2 - 1/beta, the outer slope is 1
         lip = np.maximum(1.0, 1.0 / bc - 0.5)
-        worst_bound = max(worst_bound, float(np.max(np.abs(val) - (np.abs(uc) + np.abs(vc)))))
-        worst_lower = max(worst_lower, float(np.max((uc * uc - np.abs(uc * vc)) - val * uc)))
-        worst_lip = max(worst_lip, float(np.max(np.abs(val - val2) - lip * np.abs(uc - u2c))))
+        excess.append((np.max(np.abs(val) - (np.abs(uc) + np.abs(vc))),
+                       np.max((uc * uc - np.abs(uc * vc)) - val * uc),
+                       np.max(np.abs(val - val2) - lip * np.abs(uc - u2c))))
+    upper, lower, lipschitz = np.transpose(excess)
     inp, tol = f"{samples} samples", "1e-09"
-    rows.append(_bound("psi_u_upper_bound", inp, "|psi_u| <= |u|+|v|", worst_bound, "<=", tol))
-    rows.append(_bound("psi_u_lower_bound", inp, "psi_u*u >= u^2-|uv|", worst_lower, "<=", tol))
-    rows.append(_bound("psi_u_lipschitz", inp, "max(1,1/beta-1/2)-Lipschitz in u", worst_lip,
+    rows.append(_bound("psi_u_upper_bound", inp, "|psi_u| <= |u|+|v|", upper, "<=", tol))
+    rows.append(_bound("psi_u_lower_bound", inp, "psi_u*u >= u^2-|uv|", lower, "<=", tol))
+    rows.append(_bound("psi_u_lipschitz", inp, "max(1,1/beta-1/2)-Lipschitz in u", lipschitz,
                        "<=", tol))
     # a weaker constant sometimes quoted for this derivative, max(1,|2-1/beta|),
     # is falsified at beta=1/2: |psi_u(0.1,1) - psi_u(0,1)| = 0.148 > 0.1
@@ -149,46 +155,40 @@ def suite_calculus(quick: bool = False, seed: int = 0) -> list[CheckResult]:
 
     # gradient against central finite differences at smooth points
     n, m, beta_fd, h = 8, 40, 0.5, 1e-6
-    worst_rel = 0.0
-    for _ in range(fd_points):
+
+    def gradient_rel_err():
         A, y, z = _smooth_instance(rng, n, m, beta_fd, margin=1e-3)
+        fd = [(loss(z + e, A, y, beta_fd) - loss(z - e, A, y, beta_fd)) / (2 * h)
+              for e in h * np.eye(n)]
         g = gradient(z, A, y, beta_fd)
-        fd = np.empty(n)
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            fd[j] = (loss(z + e, A, y, beta_fd) - loss(z - e, A, y, beta_fd)) / (2 * h)
-        worst_rel = max(worst_rel, float(np.linalg.norm(fd - g) / np.linalg.norm(g)))
+        return np.linalg.norm(fd - g) / np.linalg.norm(g)
+
     rows.append(_bound("gradient_vs_central_fd", f"{fd_points} points n={n} m={m}",
-                       "rel err <= 1e-5", worst_rel, "<=", "1e-5"))
+                       "rel err <= 1e-5", [gradient_rel_err() for _ in range(fd_points)],
+                       "<=", "1e-5"))
 
     # directional second derivative against second differences
     t = 1e-4
-    worst_d2 = 0.0
-    for _ in range(fd_points):
+
+    def second_derivative_err():
         A, y, z = _smooth_instance(rng, n, m, beta_fd, margin=1e-2)
         v = rng.standard_normal(n)
         v /= np.linalg.norm(v)
-        d2 = dir_second_derivative(z, v, A, y, beta_fd)
         sd = (loss(z + t * v, A, y, beta_fd) - 2 * loss(z, A, y, beta_fd)
               + loss(z - t * v, A, y, beta_fd)) / (t * t)
-        worst_d2 = max(worst_d2, abs(d2 - sd))
-    rows.append(_bound("dir_second_derivative_vs_fd", f"{fd_points} points",
-                       "abs err <= 1e-4", worst_d2, "<=", "1e-4"))
+        return abs(dir_second_derivative(z, v, A, y, beta_fd) - sd)
+
+    rows.append(_bound("dir_second_derivative_vs_fd", f"{fd_points} points", "abs err <= 1e-4",
+                       [second_derivative_err() for _ in range(fd_points)], "<=", "1e-4"))
 
     # supporting cubic h(t) >= 0 on [0, beta], h(beta) = 0
     n_beta = 20 if quick else 100
-    worst_h = math.inf
-    worst_end = 0.0
-    for b in rng.uniform(1e-3, 1.0, n_beta):
-        ts = np.linspace(0.0, b, 200)
-        hv = ls.curvature_lower_cubic(ts, float(b))
-        worst_h = min(worst_h, float(hv.min()))
-        worst_end = max(worst_end, abs(float(hv[-1])))
+    hv = [ls.curvature_lower_cubic(np.linspace(0.0, b, 200), float(b))
+          for b in rng.uniform(1e-3, 1.0, n_beta)]
     rows.append(_bound("curvature_cubic_nonnegative", f"{n_beta} random beta",
-                       ">= 0 on [0, beta]", worst_h, ">=", "-1e-12"))
+                       ">= 0 on [0, beta]", hv, ">=", "-1e-12"))
     rows.append(_bound("curvature_cubic_zero_at_beta", f"{n_beta} random beta",
-                       "h(beta) = 0", worst_end, "<=", "1e-12"))
+                       "h(beta) = 0", [abs(c[-1]) for c in hv], "<=", "1e-12"))
 
     # exact zero gradient at the truth
     x = gen_signal(64, REAL, seed)
@@ -318,7 +318,7 @@ def suite_landscape(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     betas = np.round(np.arange(0.01, 0.7501, 0.01), 4)
     g0_vals = np.array([ls.saddle_curvature(float(b)) for b in betas])
     rows.append(_bound("saddle_curvature_negative", "beta in {0.01..0.75}", "< -0.03",
-                       float(g0_vals.max()), "<", "-0.03"))
+                       g0_vals, "<", "-0.03"))
 
     target = ls.saddle_curvature(0.5)
     rows.append(_close("saddle_curvature_at_half", "beta=0.5", -0.1314, target, "1e-3"))
@@ -332,62 +332,49 @@ def suite_landscape(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     lams = np.linspace(0.05, 20.0, 400)
     gl = np.array([ls.orthogonal_curvature(float(l), 0.5) for l in lams])
     rows.append(_bound("orthogonal_curvature_decreasing", "lam grid", "diffs < 0",
-                       float(np.max(np.diff(gl))), "<", "0"))
+                       np.diff(gl), "<", "0"))
     limit_err = abs(ls.orthogonal_curvature(1e8, 0.5) - ls.curvature_at_origin(0.5))
     rows.append(_bound("curvature_origin_limit", "lam=1e8 beta=0.5",
                        repr(ls.curvature_at_origin(0.5)), limit_err, "<=", "1e-6"))
 
     # kernel identity B = tau^3 sigma Q on a grid
-    worst = 0.0
-    for t in np.linspace(0.01, 0.99, 25):
-        for sigma in np.linspace(0.0, 0.95, 20):
-            tau = ls._tau(sigma)
-            b = ls.signed_rate_kernel(float(t), float(sigma))
-            q = ls.scaled_rate_kernel(float(t), float(sigma))
-            worst = max(worst, abs(b - tau ** 3 * sigma * q))
-    rows.append(_bound("kernel_identity", "25x20 grid", "B = tau^3 sigma Q", float(worst),
-                       "<=", "1e-10"))
+    err = [abs(ls.signed_rate_kernel(t, s) - ls._tau(s) ** 3 * s * ls.scaled_rate_kernel(t, s))
+           for t in np.linspace(0.01, 0.99, 25).tolist()
+           for s in np.linspace(0.0, 0.95, 20).tolist()]
+    rows.append(_bound("kernel_identity", "25x20 grid", "B = tau^3 sigma Q", err, "<=", "1e-10"))
 
     # non-vanishing-gradient radius values
     rows.append(_close("region_radius_orthogonal", "sigma=0", 2 / math.pi,
                        ls.region_radius(0.0), "1e-12"))
     rows.append(_close("region_radius_aligned", "sigma=1", 1.0, ls.region_radius(1.0), "1e-12"))
-    rr = max(ls.region_radius(float(s)) for s in np.linspace(0, 1, 1001))
+    rr = float(np.max([ls.region_radius(s) for s in np.linspace(0, 1, 1001).tolist()]))
     rows.append(CheckResult("region_radius_max", "sigma grid[1001]", "<= 1",
                             repr(rr), "1e-12", rr <= 1.0 + 1e-12))
 
     # alignment gradient: strictly negative normalized boundary values
-    worst_ag = -math.inf
-    for sigma in np.round(np.arange(0.05, 0.951, 0.05), 3):
-        sigma = float(sigma)
-        tau = ls._tau(sigma)
-        worst_ag = max(worst_ag,
-                       ls.expected_alignment_gradient(sigma, 0.5) / (sigma * tau ** 3))
+    ag = [ls.expected_alignment_gradient(s, 0.5) / (s * ls._tau(s) ** 3)
+          for s in np.round(np.arange(0.05, 0.951, 0.05), 3).tolist()]
     rows.append(_bound("alignment_gradient_negative", "sigma in {0.05..0.95}", "< -0.01",
-                       worst_ag, "<", "-0.01"))
+                       ag, "<", "-0.01"))
 
     # increasing in beta (finite differences at 20 points)
-    worst_db = math.inf
-    for sigma in np.linspace(0.1, 0.9, 20):
-        d = (ls.expected_alignment_gradient(float(sigma), 0.52)
-             - ls.expected_alignment_gradient(float(sigma), 0.48))
-        worst_db = min(worst_db, d)
+    db = [ls.expected_alignment_gradient(s, 0.52) - ls.expected_alignment_gradient(s, 0.48)
+          for s in np.linspace(0.1, 0.9, 20).tolist()]
     rows.append(_bound("alignment_gradient_increasing_in_beta", "20 sigma points", "> 0",
-                       worst_db, ">", "0"))
+                       db, ">", "0"))
 
-    # empirical scan over fresh instances: each row reads its region's worst
-    # probe (np.min and np.max propagate NaN, so a NaN probe fails its row)
+    # empirical scan over fresh instances: each row reads its region's worst probe
     pts = [p for instance in scans for p in instance]
     inp = f"n={n} m={mult}n seeds={len(seeds)}"
     radial = [p.radial_grad for p in pts if p.norm_z >= ls.region_radius(p.sigma) + 0.1]
     curv = [p.curv_x for p in pts if p.sigma <= 0.1 and 0.05 <= p.norm_z <= 1.0]
     convex = [p.min_dir_curv for p in pts if p.dist_to_x <= 0.05]
     rows.append(_bound("scan_radial_gradient_positive", inp, "> 0 beyond radius+0.1",
-                       float(np.min(radial, initial=math.inf)), ">", "0"))
+                       radial, ">", "0"))
     rows.append(_bound("scan_curvature_x_negative", inp, "< 0 for sigma<=0.1, 0.05<=|z|<=1",
-                       float(np.max(curv, initial=-math.inf)), "<", "0"))
+                       curv, "<", "0"))
     rows.append(_bound("scan_strong_convexity_near_truth", inp, ">= 0.25 within 0.05 of x",
-                       float(np.min(convex, initial=math.inf)), ">=", "0.25"))
+                       convex, ">=", "0.25"))
     rows.append(_close("convexity_radius_constant", "beta=0.5", math.sqrt(5.0 / 12.0) - 0.5,
                        ls.convexity_radius_constant(0.5), "1e-12"))
     return rows
@@ -432,23 +419,23 @@ def inequality_report(grid_points: int = 1000) -> list[CheckResult]:
                      ("monotone_f0_normalized", ls.monotone_f0_normalized)):
         vals = np.array([fn(t) for t in taus])
         rows.append(_bound(f"{name}_increasing", f"tau grid[{grid_points}]", "diffs > 0",
-                           float(np.min(np.diff(vals))), ">", "0"))
+                           np.diff(vals), ">", "0"))
 
     xs = np.linspace(1e-3, math.pi / 2 - 1e-3, grid_points)
     f1p = np.array([ls.increasing_ratio_deriv(x) for x in xs])
     rows.append(_bound("ratio_deriv_nonnegative", f"x grid[{grid_points}]", ">= 0",
-                       float(f1p.min()), ">=", "0"))
+                       f1p, ">=", "0"))
 
     ss = np.linspace(1.0 / 3.0, 2.0 / 3.0, grid_points)
     hs = (3.0 * ss - 1.0) * np.arcsin(np.sqrt(ss)) / np.sqrt(ss) \
         + (1.0 + ss) * np.sqrt(1.0 - ss) - math.pi * ss
     rows.append(_bound("arcsin_combination_nonnegative", f"s grid[{grid_points}]", ">= 0",
-                       float(hs.min()), ">=", "0"))
+                       hs, ">=", "0"))
 
     s_all = np.linspace(1e-9, 1.0 - 1e-9, grid_points)
     gap = ls.arcsin_ratio_lower(s_all)
     rows.append(_bound("arcsin_ratio_lower_bound", f"s grid[{grid_points}]", ">= 0",
-                       float(gap.min()), ">=", "0"))
+                       gap, ">=", "0"))
 
     s01 = np.linspace(0.0, 1.0, grid_points)
     a = ls.hull_poly(s01)
@@ -461,24 +448,21 @@ def inequality_report(grid_points: int = 1000) -> list[CheckResult]:
 
     g1 = ls.sqrt_gap_poly(ss)
     rows.append(_bound("sqrt_gap_poly_positive", f"s grid[{grid_points}]", "> 0",
-                       float(g1.min()), ">", "0"))
+                       g1, ">", "0"))
     rows.append(_bound("sqrt_gap_poly_decreasing", f"s grid[{grid_points}]", "diffs < 0",
-                       float(np.max(np.diff(g1))), "<", "0"))
+                       np.diff(g1), "<", "0"))
     rows.append(_close("sqrt_gap_poly_at_two_thirds", "s=2/3", 0.035,
                        float(ls.sqrt_gap_poly(2.0 / 3.0)), "1e-3"))
 
     t23 = np.linspace(2.0 / 3.0, 1.0, grid_points)
     margin = ls.case_boundary_margin(t23)
     rows.append(_bound("case_boundary_margin_nonnegative", f"t grid[{grid_points}]", ">= 0",
-                       float(margin.min()), ">=", "0"))
+                       margin, ">=", "0"))
 
     thetas = np.linspace(1e-3, math.pi / 2 - 1e-3, grid_points)
-    worst = math.inf
-    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        vals = ls.angle_family(t, thetas)
-        worst = min(worst, float(np.min(np.diff(vals))))
+    diffs = [np.diff(ls.angle_family(t, thetas)) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
     rows.append(_bound("angle_family_increasing_in_theta", "t in {0,...,1}", "diffs > 0",
-                       worst, ">", "0"))
+                       diffs, ">", "0"))
     return rows
 
 
@@ -500,7 +484,7 @@ def suite_appendix(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     sigmas = np.linspace(0.0, 0.99, 50)
     pv = np.array([ls.alignment_prefactor(float(s)) for s in sigmas])
     rows.append(_bound("alignment_prefactor_decreasing", "sigma grid[50]", "diffs < 0",
-                       float(np.max(np.diff(pv))), "<", "0"))
+                       np.diff(pv), "<", "0"))
 
     rows.extend(rational_integral_report())
     rows.extend(inequality_report(grid_points=grid))

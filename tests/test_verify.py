@@ -113,6 +113,22 @@ def test_bound_rule_prints_its_limit_text_and_is_strict_only_for_strict_ops(op, 
     assert not _bound("c", "in", "e", math.nan, op, "0.25").passed
 
 
+@pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+def test_bound_rule_judges_the_worst_value_and_fails_on_any_nan(op):
+    values = np.array([0.5, -1.5, 2.5, 0.0])
+    worst = -1.5 if op[0] == ">" else 2.5
+    assert _bound("c", "in", "e", values, op, "0").actual == repr(worst)
+    assert _bound("c", "in", "e", [values[:2], values[2:]], op, "0").actual == repr(worst)
+    for i in range(len(values)):
+        spoiled = values.copy()
+        spoiled[i] = math.nan
+        row = _bound("c", "in", "e", spoiled, op, "-10" if op[0] == ">" else "10")
+        assert (row.actual, row.passed) == ("nan", False)
+    assert _bound("c", "in", "e", 0.5, op, "0").actual == "0.5"
+    with pytest.raises(ValueError):
+        _bound("c", "in", "e", [], op, "0")
+
+
 def test_close_rule_passes_at_exactly_its_tolerance():
     assert _close("c", "in", 1.0, 1.5, "0.5") == CheckResult("c", "in", "1.0", "1.5", "0.5", True)
     assert not _close("c", "in", 1.0, 1.5000000000000002, "0.5").passed
