@@ -23,7 +23,7 @@ from .calculus import DEFAULT_BETA, _curvature_terms, _gradient, _phi_weights, c
 from .measurement import REAL, gen_sensing, gen_signal, observe, rng_for
 from .quadpack import quad
 
-MC_DEFAULT_SAMPLES = 10_000_000
+MC_DEFAULT_SAMPLES = 5_000_000
 _MC_BATCH = 2_000_000
 # Most draws a Monte Carlo leaf scores at once: 256 KiB per float32 array,
 # so the few arrays a leaf holds stay in cache instead of streaming whole
@@ -77,6 +77,21 @@ def region_radius(sigma: float) -> float:
 MC_EXPECTATION_STREAM = 4  # draw stream of mc_indicator_expectation
 MC_RATE_STREAM = 5         # draw stream of mc_indicator_rate_fd
 
+# (u, v) points on which _mc_estimates checks that g(2u, 2v) == 4 g(u, v):
+# ratios u/v inside, between and beyond the masks' thresholds, of both signs
+_PROBE_U = np.array([0.3, -1.25, 0.75, -0.6, 2.5, 1.0], dtype=np.float32)
+_PROBE_V = np.array([-1.7, 0.5, 1.0, -0.75, 0.25, 1.0], dtype=np.float32)
+
+
+def _check_degree_two(g) -> None:
+    """Raise ValueError unless g(2u, 2v) == 4 g(u, v) bitwise on the probe points;
+    doubling is exact in float32, so a g homogeneous of degree 2 passes."""
+    doubled = np.asarray(g(2 * _PROBE_U, 2 * _PROBE_V), dtype=np.float32)
+    if not np.array_equal(doubled, 4 * np.asarray(g(_PROBE_U, _PROBE_V), dtype=np.float32)):
+        name = getattr(g, "__qualname__", repr(g))
+        raise ValueError(f"statistic {name} is not homogeneous of degree 2: "
+                         "g(2u, 2v) != 4 g(u, v)")
+
 
 def _mc_estimates(stats, samples: int, seed: int, stream: int) -> list[MCEstimate]:
     """Score every statistic in `stats` on one shared pass of draws.
@@ -91,14 +106,22 @@ def _mc_estimates(stats, samples: int, seed: int, stream: int) -> list[MCEstimat
     alone; statistics that share sigma share U, and those that also share g
     share its values.
 
+    g must be homogeneous of degree 2, g(cU, cV) = c^2 g(U, V), and is
+    checked to be (ValueError otherwise).  Then, with R^2 = V^2 + W^2, which
+    is independent of the angle of (V, W) and has mean 2, E[g mask] =
+    E[(2/R^2) g mask] for every mask, which reads only U/V; each draw's value
+    is weighted by 2/R^2, which removes the radius's variance from the
+    estimate (a 1.4-2.5x smaller standard error on the same draws).  Draws
+    with R^2 zero or overflowing have probability zero and weight 0.
+
     Each batch's float64 draws are rounded to float32 and scored leaf by
     leaf, _MC_LEAF draws at a time, so a leaf's arrays stay in cache.  Every
-    statistic is scored in float32: U, the masks' thresholds, g's values and
-    their sums over a leaf; the leaves' sums are added, in draw order, to
-    float64 totals.  A 10^7-draw estimate's standard error is about 1e-4
-    relative, three orders of magnitude above float32 rounding.  g must act
-    elementwise: g(U, V) on a leaf of the draws must be that leaf of g on
-    the whole batch.
+    statistic is scored in float32: U, the weight, the masks' thresholds,
+    g's weighted values and their sums over a leaf; the leaves' sums are
+    added, in draw order, to float64 totals.  A 5*10^6-draw estimate's
+    standard error is about 1e-4 relative, three orders of magnitude above
+    float32 rounding.  g must act elementwise: g(U, V) on a leaf of the
+    draws must be that leaf of g on the whole batch.
     """
     f32 = np.float32
     if samples < 1:
@@ -111,12 +134,22 @@ def _mc_estimates(stats, samples: int, seed: int, stream: int) -> list[MCEstimat
         if h is not None and not 0 < h < lam < math.inf:
             raise ValueError("need 0 < h < lam < inf")
         groups.setdefault((sigma, tau), {}).setdefault(g, []).append(i)
+    for g in {g for by_g in groups.values() for g in by_g}:
+        _check_degree_two(g)
 
     def score(a: int, b: int) -> np.ndarray:
         """Each statistic's sum (row 0) and sum of squares (row 1) over draws a..b-1."""
         sums = np.empty((2, len(stats)), dtype=f32)
         v_ab = v[a:b]
         av = np.abs(v_ab)
+        r2 = v_ab * v_ab
+        r2 += w[a:b] * w[a:b]
+        with np.errstate(divide="ignore"):
+            weight = f32(2.0) / r2
+        # R^2 = 0 (weight inf) or R^2 overflowing (weight 0) never happens on a
+        # leaf of normal draws; where it does, the draw scores 0 whatever g gives
+        dead = (None if 0 < weight.min() and weight.max() < math.inf
+                else ~((0 < weight) & (weight < math.inf)))
         # |U| <= inf |V| fails only where V == 0, so without such a draw the
         # lam = inf mask is all true and gv * 1.0 == gv: it is not built
         v_nonzero = av.min() > 0
@@ -131,7 +164,9 @@ def _mc_estimates(stats, samples: int, seed: int, stream: int) -> list[MCEstimat
                 elif lam != math.inf or not v_nonzero:
                     masks[lam, h] = au <= f32(lam) * av
             for g, idx in by_g.items():
-                gv = np.asarray(g(u, v_ab), dtype=f32)
+                gv = np.asarray(g(u, v_ab), dtype=f32) * weight
+                if dead is not None:
+                    gv[dead] = 0
                 for i in idx:
                     _, _, lam, h = stats[i]
                     mask = masks.get((lam, h))
@@ -171,8 +206,9 @@ def mc_indicator_expectation(
 ) -> MCEstimate:
     """Monte Carlo estimate of E[g(U, V) 1{|U| <= lam |V|}].
 
-    g must accept numpy arrays.  Sampling runs in fixed-size batches so the
-    result is deterministic for a given (samples, seed).
+    g must accept numpy arrays and be homogeneous of degree 2 in (U, V)
+    (see _mc_estimates; ValueError otherwise).  Sampling runs in fixed-size
+    batches so the result is deterministic for a given (samples, seed).
     """
     return _mc_estimates([(g, sigma, lam, None)], samples, seed, MC_EXPECTATION_STREAM)[0]
 
@@ -186,7 +222,8 @@ def mc_indicator_rate_fd(
     Uses common random numbers: the same (U, V) draws evaluate both
     indicator thresholds, so only samples near the moving boundary
     contribute and the difference estimator has far smaller variance than
-    two independent estimates.
+    two independent estimates.  g must be homogeneous of degree 2 in (U, V),
+    as for mc_indicator_expectation.
     """
     return _mc_estimates([(g, sigma, lam, h)], samples, seed, MC_RATE_STREAM)[0]
 

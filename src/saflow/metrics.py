@@ -12,6 +12,7 @@ spec, so each solve sees the same A, y and start as a solve of its own.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, replace
 from functools import partial
@@ -21,11 +22,19 @@ import numpy as np
 
 from .distances import SUCCESS_THRESHOLD, success
 from .measurement import (
-    REAL, add_noise, check_field, gen_sensing, gen_signal, observe, trial_seed,
+    COMPLEX, REAL, add_noise, check_field, gen_sensing, gen_signal, observe, trial_seed,
 )
 from .parallel import ordered_map
 from .reporting import write_csv
 from .solvers import POWER_ITERS, GdConfig, make_init, parse_algorithm, solve
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 @dataclass(frozen=True)
@@ -60,13 +69,23 @@ class ExperimentSpec:
             raise ValueError(f"noise_level must be finite and nonnegative, got {self.noise_level}")
         ratios = {"m_over_n": self.m_over_n, "m_over_n_random": (self.m_over_n_random,),
                   "m_over_n_spectral": (self.m_over_n_spectral,)}
+        memory = _physical_memory()
         for key, values in ratios.items():
             if not (values and all(0 < v and v * self.n < np.inf for v in values)):
                 raise ValueError(f"{key} must be positive with {key} * n finite, "
                                  f"got {getattr(self, key)} at n={self.n}")
-            if any(int(round(v * self.n)) < 1 for v in values):
-                raise ValueError(f"{key} must give m = round({key} * n) >= 1 at n={self.n}, "
-                                 f"got {getattr(self, key)}")
+            for v in values:
+                m = int(round(v * self.n))
+                if m < 1:
+                    raise ValueError(f"{key} must give m = round({key} * n) >= 1 at n={self.n}, "
+                                     f"got {getattr(self, key)}")
+                # a trial holds its m x n sensing matrix: one no machine can
+                # hold fails here, not as a MemoryError traceback mid-run
+                size = m * self.n * (16 if self.field == COMPLEX else 8)
+                if memory is not None and size > memory:
+                    raise ValueError(f"{key} = {v} gives m = {m} at n={self.n}: a {self.field} "
+                                     f"sensing matrix of {size} bytes, beyond the {memory} "
+                                     "bytes of physical memory")
         if not (self.thresholds and all(0 < t < np.inf for t in self.thresholds)):
             raise ValueError(f"thresholds must be finite and positive, got {self.thresholds}")
         if not (self.beta_grid and all(0 < b <= 1 for b in self.beta_grid)):

@@ -320,6 +320,8 @@ BENCH = '"n": 8, "m_over_n": 6, '
     ("sweep", '{"mode": "success", "n": 8, "m_over_n": [1e308]}', "m_over_n"),
     ("bench", '{"n": 8, "m_over_n": 1e308}', "m_over_n"),
     ("sweep", '{' + BETA + '"m_over_n_random": 1e308}', "m_over_n_random"),
+    # a ratio whose sensing matrix (8 TB here) exceeds the physical memory
+    ("sweep", '{"mode": "success", "n": 1000, "m_over_n": [1e9]}', "m_over_n"),
     # keys the command would ignore
     ("bench", '{' + BENCH + '"err_tol": 1e-3}', "'err_tol'"),
     ("sweep", '{' + BETA + '"algorithms": ["saf-random"]}', "'algorithms'"),

@@ -209,7 +209,8 @@ FAULTS = {
         "rate_signed_zero_signed_t_sq", "rate_signed_zero_signed_abs_ts"),
     "mc_means_+4se": fault(
         "all", ls, "_mc_estimates", mc_means_raised,
-        "expected_sgnuv_vsq_mc", "integrated_rate_vs_mc_signed_t_sq", "integrated_rate_vs_mc_t_sq",
+        "expected_abs_uv_mc", "expected_sgnuv_vsq_mc", "integrated_rate_vs_mc_signed_t_sq",
+        "integrated_rate_vs_mc_t_sq",
         *(f"rate_quad_vs_mc_fd_{g}" for g in verify.NAMED_G), "saddle_curvature_mc"),
     "signed_abs_ts_sign_flipped": fault(
         "expectations", verify, "g_signed_abs_ts", scaled(-1), "signed_expectation_nonnegative"),

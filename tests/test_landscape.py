@@ -66,41 +66,61 @@ def test_mc_indicator_expectation_examples():
     est = ls.mc_indicator_expectation(lambda t, s: s * s, 0.7, lam=np.inf,
                                       samples=500_000, seed=1)
     assert abs(est.mean - 1.0) <= 3 * est.std_error
-    # sigma=0, lam=1: P(|W| <= |V|) = 1/2 by exchangeability
-    est = ls.mc_indicator_expectation(lambda t, s: np.ones_like(t), 0.0, 1.0,
+    # sigma=0, lam=1: in polar coordinates |W| <= |V| is the half of the
+    # circle within pi/4 of the V axis, so E[V^2 1{|W| <= |V|}] = 1/2 + 1/pi
+    est = ls.mc_indicator_expectation(lambda t, s: s * s, 0.0, 1.0,
                                       samples=500_000, seed=2)
-    assert abs(est.mean - 0.5) <= 3 * est.std_error
+    assert abs(est.mean - (0.5 + 1 / math.pi)) <= 3 * est.std_error
     assert est.std_error > 0
-    with pytest.raises(ValueError):
-        ls.mc_indicator_expectation(lambda t, s: t, 0.5, 1.0, samples=0)
+    # and E[W^2 1{|W| <= |V|}] = 1/2 - 1/pi, the other half of E[W^2] = 1
+    est = ls.mc_indicator_expectation(lambda t, s: t * t, 0.0, 1.0,
+                                      samples=500_000, seed=2)
+    assert abs(est.mean - (0.5 - 1 / math.pi)) <= 3 * est.std_error
+    with pytest.raises(ValueError, match="samples"):
+        ls.mc_indicator_expectation(lambda t, s: t * t, 0.5, 1.0, samples=0)
 
 
-def _loop_estimate(g, sigma, lam, h, samples, seed, stream, dtype=np.float32):
-    """One statistic scored alone, with the batched loop the engine replaced,
+def _loop_estimates(stats, samples, seed, stream, dtype=np.float32, weighted=True):
+    """Each statistic scored alone, with the batched loop the engine replaced,
     in `dtype` on each batch's float64 draws rounded to it, its values summed
-    with np.sum a leaf at a time and the leaf sums added up in float64.  In
-    float64 it is the reference that float32 scoring is measured against."""
-    tau = math.sqrt(max(1.0 - sigma * sigma, 0.0))
+    with np.sum a leaf at a time and the leaf sums added up in float64.
+    weighted=True weights each value by 2/(V^2 + W^2) as the engine does (0
+    where that is not finite and positive); in float64 it is the reference
+    that float32 scoring is measured against.  weighted=False is the plain
+    estimator of E[g mask], the reference for what the weighting estimates."""
     rng = rng_for(seed, stream)
-    total = total_sq = 0.0
+    totals = np.zeros((len(stats), 2))
     done = 0
     while done < samples:
         k = min(2_000_000, samples - done)
         v = rng.standard_normal(k).astype(dtype)
-        u = sigma * v + tau * rng.standard_normal(k).astype(dtype)
-        au, av = np.abs(u), np.abs(v)
-        if h is None:
-            vals = np.asarray(g(u, v), dtype=dtype) * (au <= lam * av)
-        else:
-            diff = (au <= (lam + h) * av).astype(dtype) - (au <= (lam - h) * av)
-            vals = np.asarray(g(u, v), dtype=dtype) * diff / (2.0 * h)
-        for a in range(0, k, ls._MC_LEAF):
-            leaf = vals[a:a + ls._MC_LEAF]
-            total += float(leaf.sum())
-            total_sq += float((leaf * leaf).sum())
+        w = rng.standard_normal(k).astype(dtype)
+        with np.errstate(divide="ignore"):
+            weight = 2 / (v * v + w * w)
+        dead = ~((0 < weight) & (weight < np.inf))
+        av = np.abs(v)
+        for j, (g, sigma, lam, h) in enumerate(stats):
+            tau = math.sqrt(max(1.0 - sigma * sigma, 0.0))
+            u = sigma * v + tau * w
+            au = np.abs(u)
+            vals = np.asarray(g(u, v), dtype=dtype)
+            if weighted:
+                vals = vals * weight
+                vals[dead] = 0
+            if h is None:
+                vals = vals * (au <= lam * av)
+            else:
+                diff = (au <= (lam + h) * av).astype(dtype) - (au <= (lam - h) * av)
+                vals = vals * diff / (2.0 * h)
+            for a in range(0, k, ls._MC_LEAF):
+                leaf = vals[a:a + ls._MC_LEAF]
+                totals[j] += float(leaf.sum()), float((leaf * leaf).sum())
         done += k
-    mean = total / samples
-    return mean, math.sqrt(max(total_sq / samples - mean * mean, 0.0) / samples)
+    out = []
+    for total, total_sq in totals.tolist():
+        mean = total / samples
+        out.append((mean, math.sqrt(max(total_sq / samples - mean * mean, 0.0) / samples)))
+    return out
 
 
 def test_mc_engine_one_pass_is_bitwise_one_at_a_time(monkeypatch):
@@ -124,19 +144,19 @@ def test_mc_engine_one_pass_is_bitwise_one_at_a_time(monkeypatch):
     for leaf in (ls._MC_LEAF, 1000):
         monkeypatch.setattr(ls, "_MC_LEAF", leaf)
         together = ls._mc_estimates(stats, samples, seed=3, stream=7)
-        for stat, est in zip(stats, together):
-            assert est.samples == samples
-            assert (est.mean, est.std_error) == _loop_estimate(*stat, samples, 3, 7)
+        assert [est.samples for est in together] == [samples] * len(stats)
+        assert [(est.mean, est.std_error) for est in together] == _loop_estimates(
+            stats, samples, 3, 7)
     monkeypatch.undo()
     # the public estimators are the engine's one-statistic case on their streams
     g, sigma, lam, _ = stats[2]
     alone = ls.mc_indicator_expectation(g, sigma, lam, samples=samples, seed=3)
-    assert (alone.mean, alone.std_error) == _loop_estimate(
-        g, sigma, lam, None, samples, 3, ls.MC_EXPECTATION_STREAM)
+    assert [(alone.mean, alone.std_error)] == _loop_estimates(
+        [(g, sigma, lam, None)], samples, 3, ls.MC_EXPECTATION_STREAM)
     g, sigma, lam, h = stats[6]
     alone = ls.mc_indicator_rate_fd(g, sigma, lam, h=h, samples=samples, seed=3)
-    assert (alone.mean, alone.std_error) == _loop_estimate(
-        g, sigma, lam, h, samples, 3, ls.MC_RATE_STREAM)
+    assert [(alone.mean, alone.std_error)] == _loop_estimates(
+        [(g, sigma, lam, h)], samples, 3, ls.MC_RATE_STREAM)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0
@@ -167,22 +187,27 @@ def test_mc_engine_masks_lam_inf_where_v_is_zero(monkeypatch):
     monkeypatch.setattr(ls, "rng_for", zeroed_rng_for)
     together = ls._mc_estimates(stats, samples, seed=5, stream=9)
     monkeypatch.setitem(globals(), "rng_for", zeroed_rng_for)
-    for stat, est in zip(stats, together):
-        assert (est.mean, est.std_error) == _loop_estimate(*stat, samples, 5, 9)
+    assert [(est.mean, est.std_error) for est in together] == _loop_estimates(
+        stats, samples, 5, 9)
 
 
+# t * s overflows where |V| is near overflow, where the draw's weight is 0
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0
 @pytest.mark.parametrize("lam, h", [(0.5, 0.02), (1.0, 0.02), (0.25, 0.0625)])
 def test_mc_engine_shell_mask_on_its_edges(monkeypatch, lam, h):
     # the central-difference mask is the bool shell 1{|U| <= (lam+h)|V|} and
     # not 1{|U| <= (lam-h)|V|}; scored against the float difference of the two
     # indicators on draws with |U| exactly on (lam +- h)|V| in float32, where
-    # the engine scores, or one float32 ulp off it, at +-0, subnormal and
-    # near-overflow |V|
+    # the engine scores, or one float32 ulp off it.  At +-0, subnormal and
+    # near-overflow |V|, V^2 + W^2 is 0 or overflows and the draw scores 0
+    # whatever g gives; at |V| = 1e-19 and 1e18 its weight is still finite
     f32 = np.finfo(np.float32)
     rng = rng_for(43)
     v = np.concatenate([rng.standard_normal(4000).astype(np.float32),
                         np.array([0.0, -0.0, f32.smallest_subnormal, -f32.smallest_subnormal,
-                                  f32.smallest_normal, 1e-37, 1e37, -f32.max / 1.05],
+                                  f32.smallest_normal, 1e-37, 1e37, -f32.max / 1.05,
+                                  1e-19, -1e18],
                                  dtype=np.float32)])
     edges = [np.float32(lam + h) * v, np.float32(lam - h) * v]
     inf = np.float32(np.inf)
@@ -202,37 +227,101 @@ def test_mc_engine_shell_mask_on_its_edges(monkeypatch, lam, h):
                 return (v if self.calls % 2 else w).astype(float)
         return Draws()
 
-    g_sign = lambda t, s: np.sign(t) * np.sign(s)  # finite where |U| or |V| is huge
-    stats = [(g_sign, 0.0, lam, h), (lambda t, s: np.ones_like(t), 0.0, lam, h)]
+    stats = [(lambda t, s: t * s, 0.0, lam, h), (lambda t, s: s * s, 0.0, lam, h)]
     monkeypatch.setattr(ls, "rng_for", edge_rng_for)
     together = ls._mc_estimates(stats, len(v), seed=0, stream=0)
     monkeypatch.setitem(globals(), "rng_for", edge_rng_for)
-    for stat, est in zip(stats, together):
-        assert (est.mean, est.std_error) == _loop_estimate(*stat, len(v), 0, 0)
+    expected = _loop_estimates(stats, len(v), 0, 0)
+    assert [(est.mean, est.std_error) for est in together] == expected
+    assert all(math.isfinite(mean) and se > 0 for mean, se in expected)
 
 
-def test_float32_scoring_moves_no_verify_estimate_by_a_hundredth_of_its_error(monkeypatch):
-    # verify's own Monte Carlo statistics at its quick budget, scored by the
-    # float32 engine and in float64 on the same draws: every estimate agrees
-    # within 0.01 standard errors, so float32 arithmetic sways no verdict
+@pytest.fixture(scope="module")
+def verify_passes():
+    """Every Monte Carlo pass `verify` makes at its quick budget and seed 0,
+    as {stream: (stats, samples, seed)}, captured in place of the engine."""
     passes = {}
 
     def capture(stats, samples, seed, stream):
         passes[stream] = (list(stats), samples, seed)
         return [ls.MCEstimate(0.0, 1.0, samples)] * len(stats)
 
-    monkeypatch.setattr(ls, "_mc_estimates", capture)
-    monkeypatch.setattr(verify, "ordered_map", lambda calls: [call() for call in calls])
-    verify.run_suite("expectations", quick=True, seed=0)
-    monkeypatch.undo()
-    assert sorted(passes) == [ls.MC_EXPECTATION_STREAM, ls.MC_RATE_STREAM]
-    assert sum(len(stats) for stats, _, _ in passes.values()) == 46
-    for stream, (stats, samples, seed) in passes.items():
-        assert (samples, seed) == (1_000_000, 0)
-        for stat, est in zip(stats, ls._mc_estimates(stats, samples, seed, stream)):
-            mean, se = _loop_estimate(*stat, samples, seed, stream, dtype=np.float64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ls, "_mc_estimates", capture)
+        mp.setattr(verify, "ordered_map", lambda calls: [call() for call in calls])
+        for suite in ("expectations", "landscape"):
+            verify.run_suite(suite, quick=True, seed=0)
+    assert sorted(passes) == [ls.MC_EXPECTATION_STREAM, ls.MC_RATE_STREAM, 11]
+    assert sum(len(stats) for stats, _, _ in passes.values()) == 47
+    assert {(samples, seed) for _, samples, seed in passes.values()} == {(1_000_000, 0)}
+    return passes
+
+
+def test_float32_scoring_moves_no_verify_estimate_by_a_hundredth_of_its_error(verify_passes):
+    # verify's own Monte Carlo statistics at its quick budget, scored by the
+    # float32 engine and in float64 on the same draws: every estimate agrees
+    # within 0.01 standard errors, so float32 arithmetic sways no verdict
+    for stream, (stats, samples, seed) in verify_passes.items():
+        reference = _loop_estimates(stats, samples, seed, stream, dtype=np.float64)
+        for stat, est, (mean, se) in zip(
+                stats, ls._mc_estimates(stats, samples, seed, stream), reference):
             assert abs(est.mean - mean) <= 0.01 * se, stat
             assert est.std_error == pytest.approx(se, rel=1e-4), stat
+
+
+def test_weighted_engine_estimates_what_the_plain_estimator_does(verify_passes):
+    # the 2/R^2 weight changes the estimator, not what it estimates: on
+    # verify's own statistics the engine at N draws agrees with the plain
+    # float64 estimator of E[g mask] at 2N within 3 combined standard errors,
+    # and its standard error is no larger; 1.05 allows for the noise of an
+    # estimated standard error, as the two are equal at best
+    for stream, (stats, samples, seed) in verify_passes.items():
+        plain = _loop_estimates(stats, 2 * samples, seed, stream, dtype=np.float64,
+                                weighted=False)
+        for stat, est, (mean, se) in zip(
+                stats, ls._mc_estimates(stats, samples, seed, stream), plain):
+            assert abs(est.mean - mean) <= 3 * math.hypot(est.std_error, se), stat
+            assert est.std_error <= 1.05 * se, stat
+
+
+def test_verify_statistics_are_homogeneous_of_degree_two(verify_passes):
+    # the weight's precondition, on every statistic verify scores: doubling
+    # (u, v) is exact, so g(2u, 2v) must be 4 g(u, v) bitwise, in the float32
+    # the engine scores in and in float64; tripling rounds, so g(3u, 3v) is
+    # 9 g(u, v) to rounding.  That is checked in float64: the saddle weight
+    # phi(u/v) v^2 has a zero at |u/v| -> 1/2, where a float32 ratio's
+    # rounding moves it by up to 0.7% relative
+    gs = {stat[0] for stats, _, _ in verify_passes.values() for stat in stats}
+    assert len(gs) == 7
+    u, v = rng_for(44).standard_normal((2, 100_000))
+    for g in gs:
+        for dtype in (np.float32, np.float64):
+            du, dv = u.astype(dtype), v.astype(dtype)
+            base = np.asarray(g(du, dv), dtype=dtype)
+            assert np.array_equal(np.asarray(g(2 * du, 2 * dv), dtype=dtype), 4 * base), g
+        np.testing.assert_allclose(g(3 * u, 3 * v), 9 * g(u, v), rtol=1e-6, err_msg=repr(g))
+
+
+def test_mc_engine_rejects_a_statistic_not_homogeneous_of_degree_two(monkeypatch):
+    def g_ones(t, s):
+        return np.ones_like(t)
+
+    def g_linear(t, s):
+        return t
+
+    def no_draws(*key):
+        raise AssertionError("drew before checking the statistics")
+
+    monkeypatch.setattr(ls, "rng_for", no_draws)
+    for g in (g_ones, g_linear):
+        message = f"statistic .*{g.__name__} is not homogeneous of degree 2"
+        with pytest.raises(ValueError, match=message):
+            ls._mc_estimates([(lambda t, s: t * t, 0.5, 1.0, None), (g, 0.5, 1.0, None)],
+                             10, 0, 4)
+        with pytest.raises(ValueError, match=message):
+            ls.mc_indicator_expectation(g, 0.5, np.inf, samples=10)
+        with pytest.raises(ValueError, match=message):
+            ls.mc_indicator_rate_fd(g, 0.5, 1.0, samples=10)
 
 
 def test_mc_engine_peak_memory_stays_near_the_draws():

@@ -247,6 +247,24 @@ def test_experiment_spec_rejects_out_of_range_fields(changes, named):
         ExperimentSpec(**changes)
 
 
+def test_experiment_spec_rejects_a_sensing_matrix_beyond_physical_memory(monkeypatch):
+    with pytest.raises(ValueError, match=r"m_over_n = 1000000000.0 gives m = 1000000000000 "
+                                         r"at n=1000: a real sensing matrix of "
+                                         r"8000000000000000 bytes, beyond the \d+ bytes"):
+        ExperimentSpec(n=1000, m_over_n=(1e9,))
+    # 64 x 1000 real entries take 512 000 bytes, complex ones twice that
+    monkeypatch.setattr(saflow.metrics, "_physical_memory", lambda: 512_000)
+    ratios = dict(m_over_n=(0.064,), m_over_n_random=0.064, m_over_n_spectral=0.064)
+    assert ExperimentSpec(n=1000, **ratios).m_over_n == (0.064,)
+    with pytest.raises(ValueError, match="m_over_n = 0.064 gives m = 64 .* 1024000 bytes"):
+        ExperimentSpec(n=1000, field=COMPLEX, **ratios)
+    with pytest.raises(ValueError, match="m_over_n_spectral = 0.065 gives m = 65"):
+        ExperimentSpec(n=1000, **{**ratios, "m_over_n_spectral": 0.065})
+    # where the memory cannot be read, only the finiteness of m bounds it
+    monkeypatch.setattr(saflow.metrics, "_physical_memory", lambda: None)
+    assert ExperimentSpec(n=1000, m_over_n=(1e9,)).m_over_n == (1e9,)
+
+
 def test_iteration_table_takes_one_m_over_n():
     spec = ExperimentSpec(n=8, m_over_n=(6, 2), trials=2, config=GdConfig(max_iter=200))
     with pytest.raises(ValueError, match="m_over_n"):

@@ -35,10 +35,10 @@ def test_report_csv_format(tmp_path):
 
 def test_saddle_mc_bitwise_equal_to_its_own_loop():
     # the saddle check's statistic on the shared engine (sigma = 0, lam = inf)
-    # against the loop it replaced, on each batch's draws rounded to float32
-    # and with float32 values summed a leaf at a time, as the engine scores:
-    # U = 0 V + 1 W differs from W at most in the sign of a zero, which phi
-    # ignores
+    # against the loop it replaced, on each batch's draws rounded to float32,
+    # weighted by 2/(V^2 + W^2) and with float32 values summed a leaf at a
+    # time, as the engine scores: U = 0 V + 1 W differs from W at most in the
+    # sign of a zero, which phi ignores
     samples = 2_000_001
     est = ls._mc_estimates([(g_saddle_weight, 0.0, np.inf, None)], samples, 0, 11)[0]
     rng = rng_for(0, 11)
@@ -50,7 +50,7 @@ def test_saddle_mc_bitwise_equal_to_its_own_loop():
         uu = rng.standard_normal(k).astype(np.float32)
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(vv != 0, uu / np.where(vv != 0, vv, 1.0), np.inf)
-        vals = (phi(t, 0.5) * vv * vv).astype(np.float32)
+        vals = (phi(t, 0.5) * vv * vv).astype(np.float32) * (2 / (vv * vv + uu * uu))
         for a in range(0, k, ls._MC_LEAF):
             leaf = vals[a:a + ls._MC_LEAF]
             total += float(leaf.sum())
