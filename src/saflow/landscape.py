@@ -497,7 +497,7 @@ class ScanPoint(NamedTuple):
     dist_to_x: float
     radial_grad: float      # mean over w of <grad F, z>/||z||^2
     curv_x: float           # mean over w of the second derivative along x
-    min_dir_curv: float     # min over w and sampled unit directions
+    min_dir_curv: float     # min over w and sampled unit directions; NaN beyond near_x
 
 
 def landscape_scan(
@@ -509,6 +509,7 @@ def landscape_scan(
     w_samples: int = 8,
     directions: int = 32,
     seed: int = 0,
+    near_x: float = math.inf,
 ) -> list[ScanPoint]:
     """Probe a fresh real instance over the (||z||, sigma) plane.
 
@@ -520,10 +521,18 @@ def landscape_scan(
     directions.  At a fixed number of measurements per dimension the
     per-probe values fluctuate around their expectations, so the averaged
     diagnostics are the stable quantities to test.
+
+    Only cells whose dist_to_x is at most near_x score their directions
+    (direction_curvatures on each probe); the others report min_dir_curv
+    NaN.  Their directions are drawn all the same, so every other field and
+    every in-region minimum keeps its bits whatever near_x is.
     """
     check_beta(beta)
     if n < 2:  # no unit w orthogonal to x
         raise ValueError(f"n must be >= 2, got {n!r}")
+    for name, grid in (("norm_grid", norm_grid), ("sigma_grid", sigma_grid)):
+        if len(grid) < 1:
+            raise ValueError(f"{name} must not be empty, got {grid!r}")
     for nz in norm_grid:  # a negative norm would flip the alignment it records
         if not 0.0 < nz < math.inf:
             raise ValueError(f"norm_grid values must be positive and finite, got {nz!r}")
@@ -531,6 +540,8 @@ def landscape_scan(
     for name, count in (("w_samples", w_samples), ("directions", directions)):
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count!r}")
+    if not near_x >= 0.0:
+        raise ValueError(f"near_x must be >= 0, got {near_x!r}")
     x = gen_signal(n, REAL, seed)
     x /= np.linalg.norm(x)
     A = gen_sensing(m, n, REAL, seed)
@@ -552,25 +563,26 @@ def landscape_scan(
         w -= np.array([wk @ x for wk in w])[:, None] * x
         w /= np.array([np.linalg.norm(wk) for wk in w])[:, None]
         z = nz * (sigma_col * x + tau_col * w)
-        # gradient, dir_second_derivative along x and direction_curvatures,
-        # sharing A @ z and the weights
+        # gradient and dir_second_derivative along x, sharing A @ z
         wz = np.array([A @ zk for zk in z])
-        weights = _phi_weights(wz, y, beta)
         grads = [_gradient(A, y, wzk, wzk, ck) for wzk, ck in zip(wz, psi_u(wz, y, beta))]
         radials = [float(g @ zk) / (nz * nz) for g, zk in zip(grads, z)]
-        curvs = _curvature_terms(weights, wz, ax, y, beta).mean(axis=1)
-        dirs = draws[:, 1:]
-        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-        min_dirs = [float(_curvature_terms(wk[:, None], wzk[:, None], A @ dk.T, y[:, None], beta)
-                          .mean(axis=0).min()) for wk, wzk, dk in zip(weights, wz, dirs)]
+        curvs = _curvature_terms(_phi_weights(wz, y, beta), wz, ax, y, beta).mean(axis=1)
         for i, sigma in enumerate(sigma_grid):
             probe = slice(i * w_samples, (i + 1) * w_samples)
+            dist = math.sqrt(max(nz * nz + 1.0 - 2.0 * nz * sigma, 0.0))
+            min_dir = math.nan
+            if dist <= near_x:
+                dirs = draws[probe, 1:]
+                dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+                min_dir = float(np.min([direction_curvatures(A, y, zk, dk, beta).min()
+                                        for zk, dk in zip(z[probe], dirs)]))
             points.append(ScanPoint(
                 norm_z=float(nz),
                 sigma=float(sigma),
-                dist_to_x=math.sqrt(max(nz * nz + 1.0 - 2.0 * nz * sigma, 0.0)),
+                dist_to_x=dist,
                 radial_grad=float(np.mean(radials[probe])),
                 curv_x=float(np.mean(curvs[probe])),
-                min_dir_curv=float(np.min(min_dirs[probe])),
+                min_dir_curv=min_dir,
             ))
     return points

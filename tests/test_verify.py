@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import saflow.landscape as ls
+import saflow.parallel
 from saflow.calculus import phi
 from saflow.measurement import rng_for
 from saflow.verify import (CheckResult, _bound, _close, _mc, g_saddle_weight, g_signed_abs_ts,
@@ -160,3 +161,16 @@ def test_scan_row_fails_on_a_nan_probe_in_its_region(monkeypatch):
     assert verdicts == {"scan_radial_gradient_positive": ("nan", False),
                         "scan_curvature_x_negative": ("-0.2", True),
                         "scan_strong_convexity_near_truth": ("0.5", True)}
+
+
+def test_scan_row_fails_when_the_scan_scores_a_narrower_radius_than_it_reads(monkeypatch):
+    # the quick scan's cell |z| = 1, sigma = 0.99875 lies 0.05 - 5e-16 from x:
+    # a scan that scores directions only within 0.04 leaves its minimum NaN,
+    # and the row that reads within 0.05 fails instead of skipping it
+    scan = ls.landscape_scan
+    monkeypatch.setattr(saflow.parallel, "available_cpus", lambda: 1)
+    monkeypatch.setattr(ls, "landscape_scan",
+                        lambda *args, **kwargs: scan(*args, **{**kwargs, "near_x": 0.04}))
+    rows = suite_landscape(quick=True)
+    assert [(r.check_id, r.actual) for r in rows if not r.passed] == \
+        [("scan_strong_convexity_near_truth", "nan")]
