@@ -497,7 +497,12 @@ class ScanPoint(NamedTuple):
     dist_to_x: float
     radial_grad: float      # mean over w of <grad F, z>/||z||^2
     curv_x: float           # mean over w of the second derivative along x
-    min_dir_curv: float     # min over w and sampled unit directions; NaN beyond near_x
+    min_dir_curv: float     # min over w and sampled unit directions; NaN beyond the radius below
+
+
+# the distance from x within which landscape_scan scores its sampled
+# directions, and within which verify's strong-convexity row reads them
+STRONG_CONVEXITY_RADIUS = 0.05
 
 
 def landscape_scan(
@@ -509,7 +514,6 @@ def landscape_scan(
     w_samples: int = 8,
     directions: int = 32,
     seed: int = 0,
-    near_x: float = math.inf,
 ) -> list[ScanPoint]:
     """Probe a fresh real instance over the (||z||, sigma) plane.
 
@@ -522,10 +526,10 @@ def landscape_scan(
     per-probe values fluctuate around their expectations, so the averaged
     diagnostics are the stable quantities to test.
 
-    Only cells whose dist_to_x is at most near_x score their directions
-    (direction_curvatures on each probe); the others report min_dir_curv
-    NaN.  Their directions are drawn all the same, so every other field and
-    every in-region minimum keeps its bits whatever near_x is.
+    Only cells whose dist_to_x is at most STRONG_CONVEXITY_RADIUS score their
+    directions (direction_curvatures on each probe); the others report
+    min_dir_curv NaN.  Their directions are drawn all the same, so every other
+    field and every in-region minimum keeps its bits whatever the radius is.
     """
     check_beta(beta)
     if n < 2:  # no unit w orthogonal to x
@@ -540,8 +544,6 @@ def landscape_scan(
     for name, count in (("w_samples", w_samples), ("directions", directions)):
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count!r}")
-    if not near_x >= 0.0:
-        raise ValueError(f"near_x must be >= 0, got {near_x!r}")
     x = gen_signal(n, REAL, seed)
     x /= np.linalg.norm(x)
     A = gen_sensing(m, n, REAL, seed)
@@ -572,7 +574,7 @@ def landscape_scan(
             probe = slice(i * w_samples, (i + 1) * w_samples)
             dist = math.sqrt(max(nz * nz + 1.0 - 2.0 * nz * sigma, 0.0))
             min_dir = math.nan
-            if dist <= near_x:
+            if dist <= STRONG_CONVEXITY_RADIUS:
                 dirs = draws[probe, 1:]
                 dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
                 min_dir = float(np.min([direction_curvatures(A, y, zk, dk, beta).min()

@@ -297,7 +297,6 @@ def suite_landscape(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     samples = 1_000_000 if quick else ls.MC_DEFAULT_SAMPLES
     n, mult = 64, 6
     seeds = (seed,) if quick else tuple(seed + k for k in range(5))
-    near_x = 0.05  # the strong-convexity row's radius: the scans score directions only within it
 
     # the instance scans and the Monte Carlo pass below depend on nothing else,
     # so a worker runs the pass while this process scans; the scans stay here
@@ -309,7 +308,7 @@ def suite_landscape(quick: bool = False, seed: int = 0) -> list[CheckResult]:
             sigma_grid=(0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99875, 0.9995),
             w_samples=4 if quick else 8,
             directions=16 if quick else 32,
-            seed=s, near_x=near_x) for s in seeds]
+            seed=s) for s in seeds]
 
     scans, (est,) = ordered_map([
         scan_instances,
@@ -369,13 +368,13 @@ def suite_landscape(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     inp = f"n={n} m={mult}n seeds={len(seeds)}"
     radial = [p.radial_grad for p in pts if p.norm_z >= ls.region_radius(p.sigma) + 0.1]
     curv = [p.curv_x for p in pts if p.sigma <= 0.1 and 0.05 <= p.norm_z <= 1.0]
-    convex = [p.min_dir_curv for p in pts if p.dist_to_x <= near_x]
+    convex = [p.min_dir_curv for p in pts if p.dist_to_x <= ls.STRONG_CONVEXITY_RADIUS]
     rows.append(_bound("scan_radial_gradient_positive", inp, "> 0 beyond radius+0.1",
                        radial, ">", "0"))
     rows.append(_bound("scan_curvature_x_negative", inp, "< 0 for sigma<=0.1, 0.05<=|z|<=1",
                        curv, "<", "0"))
-    rows.append(_bound("scan_strong_convexity_near_truth", inp, f">= 0.25 within {near_x} of x",
-                       convex, ">=", "0.25"))
+    rows.append(_bound("scan_strong_convexity_near_truth", inp,
+                       f">= 0.25 within {ls.STRONG_CONVEXITY_RADIUS} of x", convex, ">=", "0.25"))
     rows.append(_close("convexity_radius_constant", "beta=0.5", math.sqrt(5.0 / 12.0) - 0.5,
                        ls.convexity_radius_constant(0.5), "1e-12"))
     return rows

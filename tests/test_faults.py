@@ -98,10 +98,10 @@ def mc_means_raised(fn):
 
 def nan_in_second_probe_of_each_cell(fn):
     """A NaN in one direction's terms of the 2nd probe of every (|z|, sigma)
-    cell whose directions the scan scores, those within verify's near_x of
-    x.  The per-probe calls, through direction_curvatures, are the ones whose
-    `wv` holds one column per direction, and a quick scan draws 4 probes per
-    cell."""
+    cell whose directions the scan scores, those within
+    STRONG_CONVEXITY_RADIUS of x.  The per-probe calls, through
+    direction_curvatures, are the ones whose `wv` holds one column per
+    direction, and a quick scan draws 4 probes per cell."""
     probes = itertools.count()
 
     def wrapped(weights, wz, wv, y, beta):

@@ -583,44 +583,38 @@ def _reference_scan(n, m, beta, norm_grid, sigma_grid, w_samples, directions, se
 
 
 _SMALL_SCAN = (32, 192, 0.5, (0.2, 0.65, 1.0), (0.0, 0.9995), 3, 8)
-# verify's full-budget scan of one seed: norm rows of 9 x 8 probes
-_VERIFY_SCAN = (64, 384, 0.5, (0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 1.0, 1.2, 1.5),
-                (0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99875, 0.9995), 8, 32)
 
 
 @pytest.mark.parametrize("args, seed", [
     pytest.param(_SMALL_SCAN, 0, id="0"),
     pytest.param(_SMALL_SCAN, 3, id="3"),
-    pytest.param(_VERIFY_SCAN, 1, id="verify-full-budget"),
+    # verify's full-budget scan of one seed: norm rows of 9 x 8 probes
+    pytest.param((64, 384, 0.5, (0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 1.0, 1.2, 1.5),
+                  (0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99875, 0.9995), 8, 32), 1,
+                 id="verify-full-budget"),
     pytest.param((16, 96, 0.5, (0.7,), (0.3,), 1, 1), 5, id="one-probe-block"),
 ])
 def test_landscape_scan_probe_is_bitwise_the_public_functions(args, seed):
     # a norm row of probes is scanned as one block; each probe must still
-    # give the bits of the public functions called on it alone
-    assert ls.landscape_scan(*args, seed=seed) == _reference_scan(*args, seed)
-
-
-def test_landscape_scan_scores_directions_only_within_near_x():
-    # verify's scan at its row's radius: the cells |z| = 1 at sigma = 0.9995
-    # and 0.99875 (the latter 0.05 - 5e-16 from x) keep the reference's
-    # minimum, every other cell's is NaN, and every other field keeps its bits
-    got = ls.landscape_scan(*_VERIFY_SCAN, seed=1, near_x=0.05)
-    want = _reference_scan(*_VERIFY_SCAN, 1)
+    # give the bits of the public functions called on it alone, and a cell
+    # scores its directions only within STRONG_CONVEXITY_RADIUS of x (|z| = 1
+    # at sigma = 0.9995, and 0.99875 in verify's scan), reporting NaN beyond
+    got = ls.landscape_scan(*args, seed=seed)
+    want = _reference_scan(*args, seed)
     assert [p._replace(min_dir_curv=0.0) for p in got] == \
         [p._replace(min_dir_curv=0.0) for p in want]
-    inside = [(p.norm_z, p.sigma) for p in want if p.dist_to_x <= 0.05]
-    assert inside == [(1.0, 0.99875), (1.0, 0.9995)]
     for p, q in zip(got, want):
-        if (p.norm_z, p.sigma) in inside:
+        if q.dist_to_x <= ls.STRONG_CONVEXITY_RADIUS:
             assert p.min_dir_curv == q.min_dir_curv
         else:
             assert math.isnan(p.min_dir_curv)
 
 
-def test_landscape_scan_region_includes_its_boundary():
-    # z = x lies at distance exactly 0, so near_x = 0 scores it and nothing else
+def test_landscape_scan_region_includes_its_boundary(monkeypatch):
+    # z = x lies at distance exactly 0, so a radius of 0 scores it and nothing else
+    monkeypatch.setattr(ls, "STRONG_CONVEXITY_RADIUS", 0.0)
     pts = ls.landscape_scan(12, 60, 0.5, norm_grid=(1.0, 0.5), sigma_grid=(1.0,),
-                            w_samples=1, directions=2, near_x=0.0)
+                            w_samples=1, directions=2)
     assert [p.dist_to_x for p in pts] == [0.0, 0.5]
     assert math.isfinite(pts[0].min_dir_curv) and math.isnan(pts[1].min_dir_curv)
 
@@ -650,19 +644,11 @@ def test_landscape_scan_rejects_an_empty_scan(field, count):
 
 @pytest.mark.parametrize("field", ["norm_grid", "sigma_grid"])
 def test_landscape_scan_rejects_an_empty_grid(field):
-    # an empty norm_grid used to return [] and an empty sigma_grid to die in
+    # unchecked, an empty norm_grid returns [] and an empty sigma_grid dies in
     # a numpy broadcast
     with pytest.raises(ValueError, match=f"{field} must not be empty"):
         ls.landscape_scan(12, 60, 0.5, w_samples=1, directions=2,
                           **{"norm_grid": (0.5,), "sigma_grid": (0.5,), field: ()})
-
-
-@pytest.mark.parametrize("near_x", [-0.05, math.nan])
-def test_landscape_scan_rejects_a_negative_or_nan_near_x(near_x):
-    # dist <= NaN is never true: a NaN radius would leave every cell NaN unannounced
-    with pytest.raises(ValueError, match="near_x must be >= 0"):
-        ls.landscape_scan(12, 60, 0.5, norm_grid=(0.5,), sigma_grid=(0.5,),
-                          w_samples=1, directions=2, near_x=near_x)
 
 
 @pytest.mark.parametrize("sigma", [1.5, -0.25, math.nan])

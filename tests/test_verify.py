@@ -168,9 +168,14 @@ def test_scan_row_fails_when_the_scan_scores_a_narrower_radius_than_it_reads(mon
     # a scan that scores directions only within 0.04 leaves its minimum NaN,
     # and the row that reads within 0.05 fails instead of skipping it
     scan = ls.landscape_scan
+
+    def narrow_scan(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(ls, "STRONG_CONVEXITY_RADIUS", 0.04)
+            return scan(*args, **kwargs)
+
     monkeypatch.setattr(saflow.parallel, "available_cpus", lambda: 1)
-    monkeypatch.setattr(ls, "landscape_scan",
-                        lambda *args, **kwargs: scan(*args, **{**kwargs, "near_x": 0.04}))
+    monkeypatch.setattr(ls, "landscape_scan", narrow_scan)
     rows = suite_landscape(quick=True)
     assert [(r.check_id, r.actual) for r in rows if not r.passed] == \
         [("scan_strong_convexity_near_truth", "nan")]
