@@ -503,19 +503,15 @@ class ScanPoint(NamedTuple):
 # the distance from x within which landscape_scan scores its sampled
 # directions, and within which verify's strong-convexity row reads them
 STRONG_CONVEXITY_RADIUS = 0.05
+# the (||z||, sigma) grid landscape_scan probes; at ||z|| = 1 the last two
+# sigmas are the cells within the radius (0.05 - 5e-16 and 0.032 from x)
+SCAN_NORMS = (0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 1.0, 1.2, 1.5)
+SCAN_SIGMAS = (0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99875, 0.9995)
 
 
-def landscape_scan(
-    n: int,
-    m: int,
-    beta: float = DEFAULT_BETA,
-    norm_grid=(0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 1.0, 1.2, 1.5),
-    sigma_grid=(0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99),
-    w_samples: int = 8,
-    directions: int = 32,
-    seed: int = 0,
-) -> list[ScanPoint]:
-    """Probe a fresh real instance over the (||z||, sigma) plane.
+def landscape_scan(n: int, m: int, w_samples: int, directions: int, seed: int) -> list[ScanPoint]:
+    """Probe a fresh real instance on the SCAN_NORMS x SCAN_SIGMAS grid of the
+    (||z||, sigma) plane, at beta = DEFAULT_BETA.
 
     The ground truth is normalized to ||x|| = 1 so the closed-form region
     boundaries apply directly.  Each grid point is probed with w_samples
@@ -531,16 +527,8 @@ def landscape_scan(
     min_dir_curv NaN.  Their directions are drawn all the same, so every other
     field and every in-region minimum keeps its bits whatever the radius is.
     """
-    check_beta(beta)
     if n < 2:  # no unit w orthogonal to x
         raise ValueError(f"n must be >= 2, got {n!r}")
-    for name, grid in (("norm_grid", norm_grid), ("sigma_grid", sigma_grid)):
-        if len(grid) < 1:
-            raise ValueError(f"{name} must not be empty, got {grid!r}")
-    for nz in norm_grid:  # a negative norm would flip the alignment it records
-        if not 0.0 < nz < math.inf:
-            raise ValueError(f"norm_grid values must be positive and finite, got {nz!r}")
-    taus = [_tau(sigma) for sigma in sigma_grid]
     for name, count in (("w_samples", w_samples), ("directions", directions)):
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count!r}")
@@ -554,10 +542,10 @@ def landscape_scan(
     # elementwise kernels run once on its (probes, m) arrays, while every
     # matvec and dot stays one BLAS call per probe, since a batched GEMM
     # sums in another order than the GEMVs and would change bits
-    sigma_col = np.repeat(np.asarray(sigma_grid, dtype=float), w_samples)[:, None]
-    tau_col = np.repeat(np.asarray(taus), w_samples)[:, None]
+    sigma_col = np.repeat(SCAN_SIGMAS, w_samples)[:, None]
+    tau_col = np.repeat([_tau(sigma) for sigma in SCAN_SIGMAS], w_samples)[:, None]
     points = []
-    for nz in norm_grid:
+    for nz in SCAN_NORMS:
         # each probe's w, then its directions, in the stream order of a
         # probe-at-a-time scan
         draws = rng.standard_normal((len(sigma_col), 1 + directions, n))
@@ -567,21 +555,22 @@ def landscape_scan(
         z = nz * (sigma_col * x + tau_col * w)
         # gradient and dir_second_derivative along x, sharing A @ z
         wz = np.array([A @ zk for zk in z])
-        grads = [_gradient(A, y, wzk, wzk, ck) for wzk, ck in zip(wz, psi_u(wz, y, beta))]
+        grads = [_gradient(A, y, wzk, wzk, ck) for wzk, ck in zip(wz, psi_u(wz, y, DEFAULT_BETA))]
         radials = [float(g @ zk) / (nz * nz) for g, zk in zip(grads, z)]
-        curvs = _curvature_terms(_phi_weights(wz, y, beta), wz, ax, y, beta).mean(axis=1)
-        for i, sigma in enumerate(sigma_grid):
+        curvs = _curvature_terms(_phi_weights(wz, y, DEFAULT_BETA), wz, ax, y,
+                                 DEFAULT_BETA).mean(axis=1)
+        for i, sigma in enumerate(SCAN_SIGMAS):
             probe = slice(i * w_samples, (i + 1) * w_samples)
             dist = math.sqrt(max(nz * nz + 1.0 - 2.0 * nz * sigma, 0.0))
             min_dir = math.nan
             if dist <= STRONG_CONVEXITY_RADIUS:
                 dirs = draws[probe, 1:]
                 dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-                min_dir = float(np.min([direction_curvatures(A, y, zk, dk, beta).min()
+                min_dir = float(np.min([direction_curvatures(A, y, zk, dk, DEFAULT_BETA).min()
                                         for zk, dk in zip(z[probe], dirs)]))
             points.append(ScanPoint(
-                norm_z=float(nz),
-                sigma=float(sigma),
+                norm_z=nz,
+                sigma=sigma,
                 dist_to_x=dist,
                 radial_grad=float(np.mean(radials[probe])),
                 curv_x=float(np.mean(curvs[probe])),

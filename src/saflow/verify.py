@@ -302,13 +302,8 @@ def suite_landscape(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     # so a worker runs the pass while this process scans; the scans stay here
     # because their BLAS calls would compete with this process's BLAS threads
     def scan_instances():
-        return [ls.landscape_scan(
-            n, mult * n, 0.5,
-            norm_grid=(0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 1.0, 1.2, 1.5),
-            sigma_grid=(0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99875, 0.9995),
-            w_samples=4 if quick else 8,
-            directions=16 if quick else 32,
-            seed=s) for s in seeds]
+        return [ls.landscape_scan(n, mult * n, w_samples=4 if quick else 8,
+                                  directions=16 if quick else 32, seed=s) for s in seeds]
 
     scans, (est,) = ordered_map([
         scan_instances,

@@ -6,7 +6,7 @@ import pytest
 
 import saflow.landscape as ls
 import saflow.verify as verify
-from saflow.calculus import dir_second_derivative, gradient, phi
+from saflow.calculus import DEFAULT_BETA, dir_second_derivative, gradient, phi
 from saflow.measurement import REAL, gen_sensing, gen_signal, observe, rng_for
 from saflow.verify import inequality_report, rational_integral_report
 
@@ -549,17 +549,18 @@ def test_direction_curvatures_on_branch_boundary():
         == [1.0, 0.0]
 
 
-def _reference_scan(n, m, beta, norm_grid, sigma_grid, w_samples, directions, seed):
+def _reference_scan(n, m, w_samples, directions, seed):
     """landscape_scan with each probe computed by the public gradient,
     dir_second_derivative and direction_curvatures, each forming its own A @ z."""
+    beta = DEFAULT_BETA
     x = gen_signal(n, REAL, seed)
     x /= np.linalg.norm(x)
     A = gen_sensing(m, n, REAL, seed)
     y = observe(A, x)
     rng = rng_for(seed, 6)
     points = []
-    for nz in norm_grid:
-        for sigma in sigma_grid:
+    for nz in ls.SCAN_NORMS:
+        for sigma in ls.SCAN_SIGMAS:
             tau = math.sqrt(max(1.0 - sigma * sigma, 0.0))
             radials, curvs = [], []
             min_dir = math.inf
@@ -582,23 +583,23 @@ def _reference_scan(n, m, beta, norm_grid, sigma_grid, w_samples, directions, se
     return points
 
 
-_SMALL_SCAN = (32, 192, 0.5, (0.2, 0.65, 1.0), (0.0, 0.9995), 3, 8)
+# one probe per cell and one direction per probe, at seeds 0 and 3
+_THIN_SCAN = (16, 96, 1, 1)
 
 
 @pytest.mark.parametrize("args, seed", [
-    pytest.param(_SMALL_SCAN, 0, id="0"),
-    pytest.param(_SMALL_SCAN, 3, id="3"),
-    # verify's full-budget scan of one seed: norm rows of 9 x 8 probes
-    pytest.param((64, 384, 0.5, (0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 1.0, 1.2, 1.5),
-                  (0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99875, 0.9995), 8, 32), 1,
-                 id="verify-full-budget"),
-    pytest.param((16, 96, 0.5, (0.7,), (0.3,), 1, 1), 5, id="one-probe-block"),
+    pytest.param(_THIN_SCAN, 0, id="0"),
+    pytest.param(_THIN_SCAN, 3, id="3"),
+    # verify's scan of one seed at its full and its quick budget: norm rows
+    # of 9 x 8 and of 9 x 4 probes
+    pytest.param((64, 384, 8, 32), 1, id="verify-full-budget"),
+    pytest.param((64, 384, 4, 16), 0, id="verify-quick-budget"),
 ])
 def test_landscape_scan_probe_is_bitwise_the_public_functions(args, seed):
     # a norm row of probes is scanned as one block; each probe must still
     # give the bits of the public functions called on it alone, and a cell
     # scores its directions only within STRONG_CONVEXITY_RADIUS of x (|z| = 1
-    # at sigma = 0.9995, and 0.99875 in verify's scan), reporting NaN beyond
+    # at sigma = 0.99875 and 0.9995), reporting NaN beyond
     got = ls.landscape_scan(*args, seed=seed)
     want = _reference_scan(*args, seed)
     assert [p._replace(min_dir_curv=0.0) for p in got] == \
@@ -613,22 +614,19 @@ def test_landscape_scan_probe_is_bitwise_the_public_functions(args, seed):
 def test_landscape_scan_region_includes_its_boundary(monkeypatch):
     # z = x lies at distance exactly 0, so a radius of 0 scores it and nothing else
     monkeypatch.setattr(ls, "STRONG_CONVEXITY_RADIUS", 0.0)
-    pts = ls.landscape_scan(12, 60, 0.5, norm_grid=(1.0, 0.5), sigma_grid=(1.0,),
-                            w_samples=1, directions=2)
+    monkeypatch.setattr(ls, "SCAN_NORMS", (1.0, 0.5))
+    monkeypatch.setattr(ls, "SCAN_SIGMAS", (1.0,))
+    pts = ls.landscape_scan(12, 60, w_samples=1, directions=2, seed=0)
     assert [p.dist_to_x for p in pts] == [0.0, 0.5]
     assert math.isfinite(pts[0].min_dir_curv) and math.isnan(pts[1].min_dir_curv)
 
 
 def test_landscape_scan_smoke():
-    pts = ls.landscape_scan(
-        24, 144, 0.5, norm_grid=(0.2, 1.0), sigma_grid=(0.0, 0.9995),
-        w_samples=2, directions=4, seed=0)
-    assert len(pts) == 4
+    pts = ls.landscape_scan(24, 144, w_samples=2, directions=4, seed=0)
+    assert [(p.norm_z, p.sigma) for p in pts] == \
+        [(nz, sigma) for nz in ls.SCAN_NORMS for sigma in ls.SCAN_SIGMAS]
     # deterministic given the seed
-    again = ls.landscape_scan(
-        24, 144, 0.5, norm_grid=(0.2, 1.0), sigma_grid=(0.0, 0.9995),
-        w_samples=2, directions=4, seed=0)
-    assert pts == again
+    assert pts == ls.landscape_scan(24, 144, w_samples=2, directions=4, seed=0)
     near = [p for p in pts if p.norm_z == 1.0 and p.sigma == 0.9995]
     assert near[0].dist_to_x == pytest.approx(math.sqrt(2 - 2 * 0.9995), rel=1e-9)
     assert near[0].min_dir_curv <= near[0].curv_x + 5  # sanity: fields populated
@@ -638,40 +636,11 @@ def test_landscape_scan_smoke():
 @pytest.mark.parametrize("count", [0, -1])
 def test_landscape_scan_rejects_an_empty_scan(field, count):
     with pytest.raises(ValueError, match=f"{field} must be >= 1"):
-        ls.landscape_scan(12, 60, 0.5, norm_grid=(0.5,), sigma_grid=(0.5,),
-                          **{"w_samples": 1, "directions": 2, field: count})
-
-
-@pytest.mark.parametrize("field", ["norm_grid", "sigma_grid"])
-def test_landscape_scan_rejects_an_empty_grid(field):
-    # unchecked, an empty norm_grid returns [] and an empty sigma_grid dies in
-    # a numpy broadcast
-    with pytest.raises(ValueError, match=f"{field} must not be empty"):
-        ls.landscape_scan(12, 60, 0.5, w_samples=1, directions=2,
-                          **{"norm_grid": (0.5,), "sigma_grid": (0.5,), field: ()})
-
-
-@pytest.mark.parametrize("sigma", [1.5, -0.25, math.nan])
-def test_landscape_scan_rejects_a_sigma_outside_the_unit_interval(sigma):
-    # sigma = 1.5 at ||z|| = 0.5 would probe z = 0.75 x, whose distance to x
-    # is 0.25, yet record sigma = 1.5 and dist_to_x = 0
-    with pytest.raises(ValueError, match=r"sigma must lie in \[0, 1\]"):
-        ls.landscape_scan(12, 60, 0.5, norm_grid=(0.5,), sigma_grid=(0.5, sigma),
-                          w_samples=1, directions=2)
+        ls.landscape_scan(12, 60, seed=0, **{"w_samples": 1, "directions": 2, field: count})
 
 
 @pytest.mark.parametrize("n", [1, 0])
 def test_landscape_scan_rejects_a_signal_without_an_orthogonal_direction(n):
     # with n = 1 no unit w is orthogonal to x, and the gradients come out NaN
     with pytest.raises(ValueError, match="n must be >= 2"):
-        ls.landscape_scan(n, 60, 0.5, norm_grid=(0.5,), sigma_grid=(0.5,),
-                          w_samples=1, directions=2)
-
-
-@pytest.mark.parametrize("norm", [-0.5, 0.0, math.inf, math.nan])
-def test_landscape_scan_rejects_a_norm_that_is_not_positive_and_finite(norm):
-    # ||z|| = -0.5 at sigma = 0.5 would probe an iterate of alignment -0.5,
-    # yet record sigma = 0.5
-    with pytest.raises(ValueError, match="norm_grid values must be positive and finite"):
-        ls.landscape_scan(12, 60, 0.5, norm_grid=(0.5, norm), sigma_grid=(0.5,),
-                          w_samples=1, directions=2)
+        ls.landscape_scan(n, 60, w_samples=1, directions=2, seed=0)
