@@ -583,23 +583,28 @@ def _reference_scan(n, m, w_samples, directions, seed):
     return points
 
 
-# one probe per cell and one direction per probe, at seeds 0 and 3
+# one probe per cell and one direction per probe
 _THIN_SCAN = (16, 96, 1, 1)
 
 
-@pytest.mark.parametrize("args, seed", [
-    pytest.param(_THIN_SCAN, 0, id="0"),
-    pytest.param(_THIN_SCAN, 3, id="3"),
+@pytest.mark.parametrize("args, seed, grid", [
+    pytest.param(_THIN_SCAN, 0, None, id="0"),
+    pytest.param(_THIN_SCAN, 3, None, id="3"),
     # verify's scan of one seed at its full and its quick budget: norm rows
     # of 9 x 8 and of 9 x 4 probes
-    pytest.param((64, 384, 8, 32), 1, id="verify-full-budget"),
-    pytest.param((64, 384, 4, 16), 0, id="verify-quick-budget"),
+    pytest.param((64, 384, 8, 32), 1, None, id="verify-full-budget"),
+    pytest.param((64, 384, 4, 16), 0, None, id="verify-quick-budget"),
+    # a one-cell grid: a norm row of a single probe with a single direction
+    pytest.param(_THIN_SCAN, 5, ((0.7,), (0.3,)), id="one-probe-block"),
 ])
-def test_landscape_scan_probe_is_bitwise_the_public_functions(args, seed):
+def test_landscape_scan_probe_is_bitwise_the_public_functions(args, seed, grid, monkeypatch):
     # a norm row of probes is scanned as one block; each probe must still
     # give the bits of the public functions called on it alone, and a cell
     # scores its directions only within STRONG_CONVEXITY_RADIUS of x (|z| = 1
     # at sigma = 0.99875 and 0.9995), reporting NaN beyond
+    if grid is not None:
+        monkeypatch.setattr(ls, "SCAN_NORMS", grid[0])
+        monkeypatch.setattr(ls, "SCAN_SIGMAS", grid[1])
     got = ls.landscape_scan(*args, seed=seed)
     want = _reference_scan(*args, seed)
     assert [p._replace(min_dir_curv=0.0) for p in got] == \
