@@ -29,6 +29,7 @@ import warnings
 import numpy as np
 
 from .measurement import checked_magnitudes, pair
+from .parallel import matvec
 
 DEFAULT_BETA = 0.5
 
@@ -119,7 +120,7 @@ def _gradient(A, y, w, u, c):
     """mean_i c_i a_i, times the phase w_i/|w_i| on complex data (w_i where w_i = 0)."""
     if np.iscomplexobj(w):
         c = c * (w / np.where(u > 0, u, 1.0))
-    return (A.T @ c) / y.shape[0]
+    return matvec(A.T, c) / y.shape[0]
 
 
 def loss(z: np.ndarray, A: np.ndarray, y, beta: float = DEFAULT_BETA) -> float:

@@ -15,6 +15,13 @@ files byte for byte (bench timing excepted unless --no-timing is given).
 verify runs its independent Monte Carlo passes on up to one process per
 available CPU, this one included, and writes the same bytes at any count;
 under `taskset -c 0` it runs serially and starts no process.
+
+solve, sweep and bench run each product with a sensing matrix of 48 MiB or
+more (m = 8000, n = 1000 holds 61 MiB) on every available CPU, one thread
+per CPU, and write the same bytes as on one.  Such a product uses one CPU
+under `taskset -c 0`, when BLAS runs more than one thread per call (pin
+OpenBLAS with OPENBLAS_NUM_THREADS=1) or its thread count cannot be read,
+and in the processes of a --threads pool, which already fill the CPUs.
 """
 
 from __future__ import annotations
@@ -204,7 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"saflow {__version__}")
     threads_help = ("processes that solve trials, this one included (default 1); "
-                    "every count writes the same results")
+                    "every count writes the same results.  Without a pool, a sensing "
+                    "matrix of 48 MiB or more has each product run on every available "
+                    "CPU under one-thread BLAS, with the same bytes")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(

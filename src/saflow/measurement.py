@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .parallel import matvec
+
 REAL = "real"
 COMPLEX = "complex"
 
@@ -71,7 +73,7 @@ def checked_magnitudes(y) -> np.ndarray:
 
 def pair(A: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The products <a_i, z> = conj(a_i) . z of every row a_i of A."""
-    return (A @ z.conj()).conj()
+    return matvec(A, z.conj()).conj()
 
 
 def _gaussian(shape, field: str, rng: np.random.Generator) -> np.ndarray:

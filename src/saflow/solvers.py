@@ -23,6 +23,7 @@ from . import constants as C
 from .calculus import DEFAULT_BETA, loss_and_gradient
 from .distances import dist
 from .measurement import REAL, _gaussian, checked_magnitudes, field_of, pair, rng_for
+from .parallel import matvec
 from .reporting import write_csv
 
 POWER_ITERS = 50  # the default number of spectral-init power iterations
@@ -109,7 +110,7 @@ def spectral_init(A: np.ndarray, y, power_iters: int = POWER_ITERS,
     v = random_init(n, field_of(A), seed)
     v /= np.linalg.norm(v)
     for _ in range(power_iters):
-        v = A.T @ (y2 * pair(A, v)) / m
+        v = matvec(A.T, y2 * pair(A, v)) / m
         v /= np.linalg.norm(v)
     return float(np.sqrt(np.mean(y2))) * v
 
@@ -157,7 +158,7 @@ def _descend(algorithm, A, y, z, config, truth, value_grad, step_of):
 
 def _wf(A, w, y, z):
     r = np.abs(w) ** 2 - y * y
-    return float(np.mean(r * r) / 2.0), (A.T @ (r * w)) / y.shape[0]
+    return float(np.mean(r * r) / 2.0), matvec(A.T, r * w) / y.shape[0]
 
 
 def _taf(A, w, y, z):
@@ -165,7 +166,7 @@ def _taf(A, w, y, z):
     keep = aw >= y / (1.0 + C.TAF_GAMMA)
     f = float(np.mean((aw - y) ** 2) / 2.0)
     ph = np.where(aw > 0, w / np.where(aw > 0, aw, 1.0), 0.0)
-    return f, (A.T @ np.where(keep, w - y * ph, 0.0)) / y.shape[0]
+    return f, matvec(A.T, np.where(keep, w - y * ph, 0.0)) / y.shape[0]
 
 
 def _twf(A, w, y, z):
@@ -178,7 +179,7 @@ def _twf(A, w, y, z):
     keep &= np.abs(r) <= C.TWF_ALPHA_H * K * aw / nz
     with np.errstate(divide="ignore", invalid="ignore"):
         coeff = np.where(keep & (aw > 0), r * w / np.where(aw > 0, aw * aw, 1.0), 0.0)
-    return f, (2.0 / y.shape[0]) * (A.T @ coeff)
+    return f, (2.0 / y.shape[0]) * matvec(A.T, coeff)
 
 
 def _baseline(rule):

@@ -1,20 +1,24 @@
 """The one pool helper: ordered results, a pool no larger than its work, and
-worker errors that reach the caller."""
+worker errors that reach the caller.  The split matrix-vector product: the
+bytes of the whole product, and no thread or CPU pinning left behind."""
 
 import concurrent.futures
 import os
+import threading
 import time
 from concurrent.futures import Future
 from functools import partial
 
+import numpy as np
 import pytest
 
 import saflow.landscape as ls
 import saflow.parallel
 import saflow.verify
+import test_cli
 from saflow.cli import main
 from saflow.metrics import ExperimentSpec, run_iteration_table, run_success_sweep
-from saflow.parallel import ordered_map
+from saflow.parallel import matvec, ordered_map
 from saflow.solvers import GdConfig
 
 
@@ -28,7 +32,7 @@ class FakePool:
     sizes: list = []
     refills = 0
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         FakePool.sizes.append(max_workers)
         self.queued = max_workers + 1 + FakePool.refills
         self.submitted = 0
@@ -136,3 +140,141 @@ def test_a_calculus_failure_under_verify_all_exits_2(monkeypatch, tmp_path, caps
     assert main(["verify", "all", "--quick", "--out", str(tmp_path)]) == 2
     assert "calculus suite failed" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.fixture
+def split_always(monkeypatch):
+    """Every product of more than one part splits, as one above the threshold
+    does; returns the (first row, CPU mask) of each part run."""
+    if saflow.parallel.available_cpus() < 2 or saflow.parallel._blas_threads() != 1:
+        pytest.skip("a product splits only on 2 or more CPUs with one-thread OpenBLAS")
+    monkeypatch.setattr(saflow.parallel, "_SPLIT_BYTES", 0)
+    parts, product = [], saflow.parallel._product
+
+    def recorded(M, v, out, a, b, cpu):
+        product(M, v, out, a, b, cpu)
+        parts.append((a, os.sched_getaffinity(0)))
+
+    monkeypatch.setattr(saflow.parallel, "_product", recorded)
+    return parts
+
+
+def _layouts(shape, field, seed):
+    """A matrix of `shape` C- and F-ordered, their transposes, and a vector
+    for each, all of `field`."""
+    rng = np.random.default_rng(seed)
+    draw = (lambda *s: rng.standard_normal(s)) if field == "real" else \
+        (lambda *s: rng.standard_normal(s) + 1j * rng.standard_normal(s))
+    A = draw(*shape)
+    for M in (A, np.asfortranarray(A), A.T, np.asfortranarray(A).T):
+        yield M, draw(M.shape[1])
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("shape", [(2000, 250), (1999, 251), (300, 1024), (10, 7)],
+                         ids=["even", "odd", "1024-columns", "under-one-part"])
+def test_split_product_is_bitwise_the_whole_product(split_always, field, shape):
+    for M, v in _layouts(shape, field, 7):
+        split_always.clear()
+        assert matvec(M, v).tobytes() == (M @ v).tobytes()
+        assert len(split_always) > 1 if M.shape[0] >= 64 else not split_always
+
+
+def test_parts_are_cut_at_multiples_of_16_rows_off_4_kib_offsets():
+    A = np.empty((8000, 1000))
+    assert saflow.parallel._cuts(A, 2) == [0, 4000, 8000]
+    assert saflow.parallel._cuts(A.T, 2) == [0, 496, 1000]  # 504 is no multiple of 16
+    assert saflow.parallel._cuts(np.empty((300, 1024)).T, 2) == [0, 496, 1024]  # not 512
+    assert saflow.parallel._cuts(A.T, 3) == [0, 320, 656, 1000]
+    assert saflow.parallel._cuts(np.empty((40, 3)), 4) == [0, 16, 40]  # no empty part
+    assert saflow.parallel._cuts(np.empty((31, 3)), 2) == [0, 31]
+
+
+@pytest.mark.parametrize("golden", ["test_bench_five_solvers_matches_golden",
+                                    "test_solve_defaults_match_golden",
+                                    "test_complex_solve_matches_golden"])
+def test_split_solves_match_golden(split_always, golden, tmp_path):
+    getattr(test_cli, golden)(tmp_path)
+    assert split_always
+
+
+def test_each_part_runs_on_its_own_cpu_and_no_thread_outlives_the_call(split_always,
+                                                                        monkeypatch):
+    product = saflow.parallel._product
+
+    def slow_helper(M, v, out, a, b, cpu):
+        if a:  # the helper's part ends well after this thread's
+            time.sleep(0.05)
+        product(M, v, out, a, b, cpu)
+
+    monkeypatch.setattr(saflow.parallel, "_product", slow_helper)
+    M, v = next(_layouts((400, 30), "real", 1))
+    cpus, count = os.sched_getaffinity(0), threading.active_count()
+    assert matvec(M, v).tobytes() == (M @ v).tobytes()
+    assert len(split_always) > 1
+    assert sorted(tuple(mask) for _, mask in split_always) == \
+        [(c,) for c in sorted(cpus)[:len(split_always)]]
+    assert os.sched_getaffinity(0) == cpus
+    assert threading.active_count() == count
+
+
+@pytest.mark.parametrize("failing", ["this thread", "a helper"])
+def test_the_callers_affinity_is_restored_when_a_part_raises(split_always, monkeypatch,
+                                                             failing):
+    product = saflow.parallel._product
+
+    def fails(M, v, out, a, b, cpu):
+        product(M, v, out, a, b, cpu)
+        if (a == 0) == (failing == "this thread"):
+            raise FloatingPointError(f"part at row {a} failed")
+
+    monkeypatch.setattr(saflow.parallel, "_product", fails)
+    M, v = next(_layouts((400, 30), "real", 1))
+    cpus, count = os.sched_getaffinity(0), threading.active_count()
+    with pytest.raises(FloatingPointError, match="part at row"):
+        matvec(M, v)
+    assert os.sched_getaffinity(0) == cpus
+    assert threading.active_count() == count
+
+
+def test_no_part_runs_on_one_cpu(split_always):
+    M, v = next(_layouts((400, 30), "real", 1))
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})  # as under taskset -c
+    try:
+        assert matvec(M, v).tobytes() == (M @ v).tobytes()
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert not split_always
+
+
+@pytest.mark.parametrize("threads", [2, None], ids=["two-threads", "unknown"])
+def test_no_part_runs_beside_multithreaded_or_unknown_blas(split_always, monkeypatch,
+                                                           threads):
+    monkeypatch.setattr(saflow.parallel, "_blas_threads", lambda: threads)
+    M, v = next(_layouts((400, 30), "real", 1))
+    assert matvec(M, v).tobytes() == (M @ v).tobytes()
+    assert not split_always
+
+
+def _parts_run(M, v):
+    """How many parts matvec(M, v) runs in, with every product split that
+    can be, in whichever process runs this call."""
+    module, parts = saflow.parallel, []
+    product, threshold = module._product, module._SPLIT_BYTES
+    module._product = lambda *part: (parts.append(part[4]), product(*part))
+    module._SPLIT_BYTES = 0
+    try:
+        matvec(M, v)
+    finally:
+        module._product, module._SPLIT_BYTES = product, threshold
+    return len(parts)
+
+
+def test_no_part_runs_in_a_pool_or_beside_one(split_always):
+    M, v = next(_layouts((400, 30), "real", 1))
+    parts = _parts_run(M, v)
+    assert parts > 1
+    # this process runs the first call beside the pool, a worker the second
+    assert ordered_map([partial(_parts_run, M, v)] * 2, 2) == [0, 0]
+    assert _parts_run(M, v) == parts
