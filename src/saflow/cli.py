@@ -17,11 +17,15 @@ available CPU, this one included, and writes the same bytes at any count;
 under `taskset -c 0` it runs serially and starts no process.
 
 solve, sweep and bench run each product with a sensing matrix of 48 MiB or
-more (m = 8000, n = 1000 holds 61 MiB) on every available CPU, one thread
-per CPU, and write the same bytes as on one.  Such a product uses one CPU
-under `taskset -c 0`, when BLAS runs more than one thread per call (pin
-OpenBLAS with OPENBLAS_NUM_THREADS=1) or its thread count cannot be read,
-and in the processes of a --threads pool, which already fill the CPUs.
+more (m = 8000, n = 1000 holds 61 MiB) on every available CPU, one pinned
+thread per CPU, and write the same bytes as on one.  Such a product uses
+one CPU under `taskset -c 0`, when BLAS runs more than one thread per call
+(pin OpenBLAS with OPENBLAS_NUM_THREADS=1) or its thread count cannot be
+read, and in the processes of a --threads pool, which already fill the
+CPUs.  A sweep or bench trial of several algorithms with such a matrix
+solves them side by side instead, one per CPU, each with its products
+whole, and writes the same bytes; bench's mean_seconds is then wall time
+on CPUs the trial's solves share.
 """
 
 from __future__ import annotations
@@ -213,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     threads_help = ("processes that solve trials, this one included (default 1); "
                     "every count writes the same results.  Without a pool, a sensing "
                     "matrix of 48 MiB or more has each product run on every available "
-                    "CPU under one-thread BLAS, with the same bytes")
+                    "CPU under one-thread BLAS, or a trial's algorithms solved side by "
+                    "side, one per CPU, with the same bytes")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(

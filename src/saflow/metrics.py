@@ -24,7 +24,7 @@ from .distances import SUCCESS_THRESHOLD, success
 from .measurement import (
     COMPLEX, REAL, add_noise, check_field, gen_sensing, gen_signal, observe, trial_seed,
 )
-from .parallel import ordered_map
+from .parallel import ordered_map, side_by_side, splits
 from .reporting import write_csv
 from .solvers import POWER_ITERS, GdConfig, make_init, parse_algorithm, solve
 
@@ -118,13 +118,15 @@ def _run_trial(spec: ExperimentSpec, m: int, seed: int, thresholds: tuple) -> li
 
     Each init kind's start is built once, timed, and handed to every
     algorithm that starts from it; a solve's seconds are its own time plus
-    the time of its start.
+    the time of its start.  Where matvec would split the trial's products
+    across CPUs, the solves run side by side instead, one per CPU with its
+    products whole, and a solve's seconds are wall time on shared CPUs.
     """
     x = gen_signal(spec.n, spec.field, seed)
     A = gen_sensing(m, spec.n, spec.field, seed)
     y = add_noise(observe(A, x), spec.noise_level, seed)
     starts = {}
-    results = []
+    solves = []
     for algorithm in spec.algorithms:
         base, init_kind = parse_algorithm(algorithm)
         if init_kind not in starts:
@@ -132,17 +134,24 @@ def _run_trial(spec: ExperimentSpec, m: int, seed: int, thresholds: tuple) -> li
             z0 = make_init(A, y, init_kind, seed, spec.power_iters)
             z0.flags.writeable = False  # shared: a solver that wrote to it would raise
             starts[init_kind] = (z0, time.perf_counter() - t0)
-        z0, init_seconds = starts[init_kind]
-        t0 = time.perf_counter()
-        trace = solve(base, A, y, spec.config, z0, truth=x)
-        seconds = init_seconds + time.perf_counter() - t0
-        results.append({
-            "success": (trace.reason != "diverged"
-                        and bool(success(trace.final, x, SUCCESS_THRESHOLD))),
-            "iters_to": {thr: trace.iters_to(thr) for thr in thresholds},
-            "seconds": seconds,
-        })
-    return results
+        solves.append(partial(_solve, base, A, y, spec.config, *starts[init_kind], x,
+                              thresholds))
+    if len(solves) > 1 and splits(A.T):
+        return side_by_side(solves)
+    return [call() for call in solves]
+
+
+def _solve(base: str, A, y, config: GdConfig, z0, init_seconds: float, x,
+           thresholds: tuple) -> dict:
+    """One solve of _run_trial, summarized."""
+    t0 = time.perf_counter()
+    trace = solve(base, A, y, config, z0, truth=x)
+    return {
+        "success": (trace.reason != "diverged"
+                    and bool(success(trace.final, x, SUCCESS_THRESHOLD))),
+        "iters_to": {thr: trace.iters_to(thr) for thr in thresholds},
+        "seconds": init_seconds + time.perf_counter() - t0,
+    }
 
 
 def _map_trials(spec: ExperimentSpec, m: int, seeds: list, threads: int,
@@ -175,7 +184,9 @@ def run_iteration_table(spec: ExperimentSpec, threads: int = 1) -> list[Iteratio
     """Median iterations to each relative-error threshold of the spec, per algorithm.
 
     All algorithms solve the same per-trial instances, each drawn once.
-    Wall time is reported for context only; it is hardware-dependent.
+    Wall time is reported for context only; it is hardware-dependent, and
+    where a trial solves its algorithms side by side (see _run_trial) it is
+    wall time on CPUs the trial's solves share.
     """
     if len(spec.m_over_n) != 1:
         raise ValueError(f"an iteration table takes one m_over_n, got {spec.m_over_n}")
